@@ -218,9 +218,21 @@ fn pick_distinct_nodes(
     out
 }
 
-/// Index-based variant of [`pick_distinct_nodes`] used by the cached path:
-/// sorts `(score, view index)` pairs in place and reuses the caller's
-/// node scratch and output buffers, so a call allocates nothing once the
+/// Candidates per requested replica that [`pick_distinct_nodes_indexed`]
+/// selects and sorts up front; the rest is sorted only if the walk runs
+/// past them.
+const SORTED_PREFIX_PER_REPLICA: usize = 4;
+
+/// Index-based variant of [`pick_distinct_nodes`] used by the cached path,
+/// visiting candidates in the same order without sorting all of them.
+///
+/// The walk usually ends within the first few candidates, so only a prefix
+/// of `SORTED_PREFIX_PER_REPLICA * replicas` is selected (`O(V)` expected)
+/// and sorted; the remainder is sorted the first time the walk reaches it
+/// (full volumes, same-node collisions, or the second pass). The
+/// comparator is a total order and ties only between identical entries,
+/// so the visited order equals the full sort's. Reuses the caller's node
+/// scratch and output buffers, so a call allocates nothing once the
 /// buffers are warm.
 fn pick_distinct_nodes_indexed(
     scored: &mut [(f64, u32)],
@@ -230,31 +242,37 @@ fn pick_distinct_nodes_indexed(
     used_nodes: &mut Vec<NodeId>,
     out: &mut Placement,
 ) {
-    scored.sort_unstable_by(|a, b| {
+    let cmp = |a: &(f64, u32), b: &(f64, u32)| {
         b.0.total_cmp(&a.0)
             .then_with(|| views[a.1 as usize].volume.cmp(&views[b.1 as usize].volume))
-    });
+    };
+    let mut sorted = (SORTED_PREFIX_PER_REPLICA * replicas).min(scored.len());
+    if sorted > 0 && sorted < scored.len() {
+        scored.select_nth_unstable_by(sorted - 1, cmp);
+    }
+    scored[..sorted].sort_unstable_by(cmp);
     used_nodes.clear();
     out.clear();
-    for &(_, i) in scored.iter() {
-        if out.len() == replicas {
-            break;
-        }
-        let v = &views[i as usize];
-        if v.free() >= size && !used_nodes.contains(&v.node) {
-            used_nodes.push(v.node);
-            out.push(v.volume);
-        }
-    }
-    if out.len() < replicas {
-        for &(_, i) in scored.iter() {
-            if out.len() == replicas {
-                break;
+    // First pass: distinct nodes only; second pass: same-node volumes
+    // too, when nodes are scarce.
+    for distinct_nodes in [true, false] {
+        let mut i = 0;
+        while out.len() < replicas && i < scored.len() {
+            if i == sorted {
+                scored[sorted..].sort_unstable_by(cmp);
+                sorted = scored.len();
             }
-            let v = &views[i as usize];
-            if v.free() >= size && !out.contains(&v.volume) {
+            let v = &views[scored[i].1 as usize];
+            let fresh = if distinct_nodes {
+                !used_nodes.contains(&v.node)
+            } else {
+                !out.contains(&v.volume)
+            };
+            if v.free() >= size && fresh {
+                used_nodes.push(v.node);
                 out.push(v.volume);
             }
+            i += 1;
         }
     }
 }
@@ -1001,6 +1019,49 @@ mod tests {
                     used: 0,
                     online: true,
                 });
+            }
+        }
+        // View lists longer than the selected-and-sorted prefix, so the
+        // cached path's lazy remainder sort and its same-node second pass
+        // run: 300 volumes on 100 nodes with mixed capacities and random
+        // fills (small or nearly full volumes cannot take larger blocks
+        // however well they score), and 40 volumes on 2 nodes, fewer
+        // nodes than replicas.
+        let fleet = |volumes: u32, nodes: u32, seed: u64| -> Vec<VolumeView> {
+            (0..volumes)
+                .map(|i| {
+                    let h = mix(seed, i as u64);
+                    let capacity: Bytes = [1 << 20, 1 << 30, 1 << 32][(h % 3) as usize];
+                    let used = match (h >> 8) % 4 {
+                        0 => capacity,
+                        1 => capacity - (h >> 16) % (1 << 16),
+                        _ => (h >> 16) % capacity,
+                    };
+                    VolumeView {
+                        volume: VolumeId(i),
+                        node: NodeId(i % nodes),
+                        capacity,
+                        used,
+                        online: true,
+                    }
+                })
+                .collect()
+        };
+        for (generation, vs) in [fleet(300, 100, 1), fleet(300, 100, 2), fleet(40, 2, 3)]
+            .into_iter()
+            .enumerate()
+        {
+            for p in policies() {
+                let mut cache = PlacementCache::new();
+                for k in 0..300u64 {
+                    let key = mix(k, 0x1a2b);
+                    let size: Bytes = [1, 1 << 16, 1 << 21, 1 << 28][(k % 4) as usize];
+                    let replicas = 1 + (k % 5) as usize;
+                    let legacy = p.place(key, size, replicas, &vs);
+                    let cached =
+                        p.place_cached(&mut cache, generation as u64, key, size, replicas, &vs);
+                    assert_eq!(legacy, cached, "{} diverged at key {key:#x}", p.name());
+                }
             }
         }
     }

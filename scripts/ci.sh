@@ -40,6 +40,13 @@ check_schema results/detlint.json 2
 
 run cargo test --workspace --offline -q
 
+# The benchmark package's behaviour-preservation tests: its pass-through
+# wrappers must not change what the campaigns, the crash explorer and
+# the scale clients compute. The package has its own workspace and lock
+# file, so it builds into its own target directory.
+run env CARGO_TARGET_DIR=.bench_build cargo test --release --offline \
+    --manifest-path benchmark/Cargo.toml
+
 # The crash-consistency oracle must hold with debug_assertions compiled
 # out: rerun the release-profile regression tests that seed counter
 # drift and ownership divergence and expect the runtime auditor to
