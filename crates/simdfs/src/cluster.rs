@@ -638,8 +638,8 @@ impl Cluster {
     ///
     /// Fragment sizes are multiplied by `new_size / old_size`, so a striped
     /// file keeps its distribution shape. Fails with `OutOfSpace` if any
-    /// fragment's volume cannot absorb its growth; on failure nothing is
-    /// changed.
+    /// volume cannot absorb the summed growth of the file's fragments on
+    /// it; on failure nothing is changed.
     pub fn rescale_file(
         &mut self,
         fid: crate::types::FileId,
@@ -660,20 +660,25 @@ impl Cluster {
                 ((bytes as u128 * new_size as u128) / old_size as u128) as Bytes
             }
         };
-        // Validate growth first so the whole rescale is atomic.
+        // Validate growth first so the whole rescale is atomic. Several
+        // fragments can share a volume, so growth is summed per volume.
+        let mut growth: Vec<(VolumeId, Bytes)> = Vec::new();
         for r in &meta.replicas {
             let target = scale(r.bytes);
             if target > r.bytes {
-                let grow = target - r.bytes;
-                let v = self
-                    .volume(r.volume)
-                    .ok_or(SimError::NoSuchVolume(r.volume))?;
-                if v.free() < grow {
-                    return Err(SimError::OutOfSpace {
-                        requested: grow,
-                        free: v.free(),
-                    });
+                match growth.iter_mut().find(|(vol, _)| *vol == r.volume) {
+                    Some((_, grow)) => *grow += target - r.bytes,
+                    None => growth.push((r.volume, target - r.bytes)),
                 }
+            }
+        }
+        for (vol, grow) in growth {
+            let v = self.volume(vol).ok_or(SimError::NoSuchVolume(vol))?;
+            if v.free() < grow {
+                return Err(SimError::OutOfSpace {
+                    requested: grow,
+                    free: v.free(),
+                });
             }
         }
         let mut touched: Vec<VolumeId> = Vec::new();
@@ -1286,6 +1291,24 @@ mod tests {
         // Nothing changed.
         assert_eq!(c.files[&FileId(1)].replicas[0].bytes, 100);
         assert_eq!(c.files[&FileId(1)].replicas[1].bytes, 100);
+
+        // Two fragments on one volume: each one's growth (50 B and 100 B)
+        // fits the 130 B free, but together (150 B) they do not.
+        let mut c = cluster_with(1, 1, 280);
+        let vol = c.volume_views()[0].volume;
+        c.store(FileId(1), vol, 50).unwrap();
+        c.store(FileId(1), vol, 100).unwrap();
+        assert!(matches!(
+            c.rescale_file(FileId(1), 150, 300),
+            Err(SimError::OutOfSpace {
+                requested: 150,
+                free: 130
+            })
+        ));
+        assert_eq!(c.files[&FileId(1)].replicas[0].bytes, 50);
+        assert_eq!(c.files[&FileId(1)].replicas[1].bytes, 100);
+        assert_eq!(c.volume(vol).unwrap().used, 150);
+        c.audit().unwrap();
     }
 
     #[test]
