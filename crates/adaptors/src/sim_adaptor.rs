@@ -92,7 +92,7 @@ impl SimAdaptor {
 
     /// Enables or disables the [`SnapshotCapable`] advertisement. With it
     /// off, clean-slate campaigns take the full-redeploy fallback path —
-    /// the pre-fork-engine baseline the benchmarks compare against.
+    /// the baseline `BENCH_2.json` compares snapshot restores against.
     pub fn set_snapshot_capability(&mut self, enabled: bool) {
         self.advertise_snapshots = enabled;
     }

@@ -6,8 +6,8 @@
 //! benches time scaled-down versions of the same code paths so regressions
 //! in the harness show up in `cargo bench`.
 
-use bench::{run_eval, run_eval_baseline, run_matrix, run_strategy_all_flavors};
-use criterion::{criterion_group, Criterion};
+use bench::{run_eval, run_matrix, run_strategy_all_flavors};
+use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simdfs::{BugSet, DfsRequest, DfsSim, Flavor, MIB};
@@ -185,9 +185,8 @@ fn micro_views() -> Vec<simdfs::placement::VolumeView> {
         .collect()
 }
 
-/// Before/after pairs for the hot paths this PR caches: per-call placement
-/// through the uncached reference path versus the generation-keyed cache,
-/// and a full 1h campaign with caching off versus on.
+/// Per-call placement through the uncached reference path versus the
+/// generation-keyed cache, and a full 1h campaign.
 fn bench_perf(c: &mut Criterion) {
     use simdfs::placement::{CrushStraw2, DhtHashRing, PlacementCache, PlacementPolicy, VnodeRing};
 
@@ -222,21 +221,7 @@ fn bench_perf(c: &mut Criterion) {
     placement_pair!("placement_vnode", VnodeRing::default());
     placement_pair!("placement_crush", CrushStraw2);
 
-    g.bench_function("campaign_1h_baseline", |b| {
-        b.iter(|| {
-            let r = run_eval_baseline(
-                Flavor::GlusterFs,
-                "Themis",
-                BugSet::New,
-                1,
-                0xbe,
-                0.25,
-                VarianceWeights::default(),
-            );
-            black_box(r.campaign.iterations)
-        })
-    });
-    g.bench_function("campaign_1h_cached", |b| {
+    g.bench_function("campaign_1h", |b| {
         b.iter(|| {
             let r = run_eval(
                 Flavor::GlusterFs,
@@ -255,27 +240,4 @@ fn bench_perf(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_tables, bench_micro, bench_perf);
-
-fn main() {
-    benches();
-
-    // Fold the recorded measurements plus one-shot campaign / grid-scaling
-    // timings into the machine-readable artifact at the repo root.
-    let raw: Vec<bench::perf::RawMeasurement> = criterion::take_measurements()
-        .into_iter()
-        .map(|m| bench::perf::RawMeasurement {
-            id: m.id,
-            samples: m.samples,
-            iters_per_sample: m.iters_per_sample,
-            mean_s: m.mean_s,
-            min_s: m.min_s,
-            max_s: m.max_s,
-        })
-        .collect();
-    let campaign = bench::perf::measure_campaign(Flavor::GlusterFs, 1, 0xbe, 3);
-    let spec = bench::perf::scaling_spec(1);
-    let grid = bench::perf::measure_grid_scaling(&spec, &[2, 4]);
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_1.json");
-    bench::perf::write_bench_json(&path, &raw, &campaign, &grid).expect("write BENCH_1.json");
-    println!("wrote {}", path.display());
-}
+criterion_main!(benches);

@@ -3,10 +3,11 @@
 //! Usage: `repro [--workers N] [artifact...]` where artifact is one of
 //! `table1..table8`, `figure2`, `figure12`, `perf`, `faults`, `scale`,
 //! `scaling`, `crash`, `scale100k`, or `all` (default; excludes `perf`,
-//! `faults`, `scale`, `scaling`, `crash`, and `scale100k`). The comparison tables share one
-//! matrix run (Table 3 /
-//! Table 5 / Figure 12). `perf` times the cached-vs-baseline campaign hot
-//! path, the snapshot-fork engine against full replay and the redeploy
+//! `faults`, `scale`, `scaling`, `crash`, and `scale100k`). An unknown
+//! artifact name or a `--workers` without a number prints the usage line
+//! and exits with status 2 before anything is written. The comparison
+//! tables share one matrix run (Table 3 / Table 5 / Figure 12). `perf`
+//! times one campaign, clean-slate full replay against the redeploy
 //! fallback, and grid-executor scaling, and dumps `results/BENCH_1.json`
 //! plus `results/BENCH_2.json`. `faults` sweeps the fault-injection
 //! matrix at a reduced budget and writes `results/faults.txt`. `scale`
@@ -18,8 +19,8 @@
 //! equal-budget random baseline) on every flavor and writes
 //! `results/BENCH_5.json`. `scale100k` measures 100k-node topologies —
 //! variance-probe flatness to 100k nodes, sampled-vs-full placement
-//! quality, batch amortization, and a batched 100k campaign with a
-//! same-seed identity check — and writes `results/BENCH_6.json`.
+//! quality, and a 100k campaign with failed operations counted by cause
+//! and a same-seed identity check — and writes `results/BENCH_6.json`.
 //!
 //! `--workers N` pins the grid executor's worker count for every matrix
 //! run whose spec does not set one explicitly (0 restores the default of
@@ -29,9 +30,22 @@
 use bench::tables;
 use std::fs;
 use std::path::Path;
+use std::process::ExitCode;
 
 const HOURS: u64 = 24;
 const SEED: u64 = 0x7e15;
+
+/// Every artifact name `repro` accepts.
+const ARTIFACTS: &str = "table1 table2 table3 table4 table5 table6 table7 table8 figure2 \
+                         figure12 perf faults scale scaling crash scale100k all";
+
+/// Reports a command-line error with the usage line; nothing is written.
+fn usage_error(problem: &str) -> ExitCode {
+    eprintln!(
+        "repro: {problem}\nusage: repro [--workers N] [artifact...]\n  artifacts: {ARTIFACTS}"
+    );
+    ExitCode::from(2)
+}
 
 fn write(name: &str, content: &str) {
     fs::create_dir_all("results").expect("create results dir");
@@ -40,16 +54,24 @@ fn write(name: &str, content: &str) {
     println!("--- {name} ---\n{content}");
 }
 
-fn main() {
+fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // Strip `--workers N` before artifact matching.
     if let Some(i) = args.iter().position(|a| a == "--workers") {
-        let n: usize = args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("--workers needs a number, got {:?}", args.get(i + 1)));
+        let Some(n) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
+            return usage_error(&format!(
+                "--workers needs a number, got {:?}",
+                args.get(i + 1)
+            ));
+        };
         bench::grid::set_default_workers(n);
         args.drain(i..=i + 1);
+    }
+    if let Some(unknown) = args
+        .iter()
+        .find(|a| !ARTIFACTS.split_whitespace().any(|n| n == a.as_str()))
+    {
+        return usage_error(&format!("unknown artifact {unknown:?}"));
     }
     let want = |n: &str| args.is_empty() || args.iter().any(|a| a == n || a == "all");
 
@@ -90,19 +112,15 @@ fn main() {
         let campaign = bench::perf::measure_campaign(simdfs::Flavor::GlusterFs, 1, 0xbe, 3);
         let spec = bench::perf::scaling_spec(1);
         let grid = bench::perf::measure_grid_scaling(&spec, &[2, 4, 8]);
-        write(
-            "BENCH_1.json",
-            &bench::perf::bench_json(&[], &campaign, &grid),
-        );
+        write("BENCH_1.json", &bench::perf::bench_json(&campaign, &grid));
 
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
         let micro = bench::perf::measure_fork_restore();
-        // One fork-vs-replay triple per flavor, clean and under an active
-        // crash fault profile (the bit-identity claim must survive faults,
-        // and a faulted redeploy is what a real clean-slate campaign on
-        // flaky hardware pays).
+        // One replay-vs-redeploy pair per flavor, clean and under an
+        // active crash fault profile (a faulted redeploy is what a real
+        // clean-slate campaign on flaky hardware pays).
         let mut modes = Vec::new();
         for profile in ["none", "crash"] {
             for flavor in simdfs::Flavor::all() {
@@ -172,9 +190,9 @@ fn main() {
     }
     // Scale100k is opt-in: 100k-node topology measurements — variance-probe
     // flatness at 10/10k/100k (with preload wall time per point),
-    // sampled-vs-full placement quality differentials, the serial-vs-batched
-    // request-loop amortization, and a batched 100k-node campaign run twice
-    // for a same-seed byte-identity check. Writes `results/BENCH_6.json`.
+    // sampled-vs-full placement quality differentials, and a 100k-node
+    // campaign run twice for a same-seed byte-identity check. Writes
+    // `results/BENCH_6.json`.
     if args.iter().any(|a| a == "scale100k") {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -185,18 +203,11 @@ fn main() {
             bench::scale100k::run_sampled_vs_full(simdfs::Flavor::GlusterFs, 10_000, 0xbe, 2_000),
             bench::scale100k::run_sampled_vs_full(simdfs::Flavor::Hdfs, 100_000, 0xbe, 800),
         ];
-        let amort =
-            bench::scale100k::measure_batch_amortization(simdfs::Flavor::Hdfs, 10_000, 20_000, 64);
-        let det = bench::scale100k::check_batched_determinism(
-            simdfs::Flavor::Hdfs,
-            100_000,
-            0xbe,
-            64,
-            128,
-        );
+        let det = bench::scale100k::check_determinism(simdfs::Flavor::Hdfs, 100_000, 0xbe, 8_192);
         write(
             "BENCH_6.json",
-            &bench::scale100k::bench6_json(cores, &probe, &diffs, &amort, &det),
+            &bench::scale100k::bench6_json(cores, &probe, &diffs, &det),
         );
     }
+    ExitCode::SUCCESS
 }

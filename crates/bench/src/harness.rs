@@ -79,7 +79,7 @@ pub fn run_eval(
     threshold_t: f64,
     weights: VarianceWeights,
 ) -> EvalResult {
-    eval_inner(
+    run_eval_faulted(
         flavor,
         strategy_name,
         bugs,
@@ -87,10 +87,7 @@ pub fn run_eval(
         seed,
         threshold_t,
         weights,
-        true,
         "none",
-        ExecutionMode::Accumulate,
-        true,
     )
 }
 
@@ -110,7 +107,7 @@ pub fn run_eval_faulted(
     weights: VarianceWeights,
     fault_profile: &str,
 ) -> EvalResult {
-    eval_inner(
+    run_eval_mode(
         flavor,
         strategy_name,
         bugs,
@@ -118,16 +115,14 @@ pub fn run_eval_faulted(
         seed,
         threshold_t,
         weights,
-        true,
         fault_profile,
         ExecutionMode::Accumulate,
-        true,
     )
 }
 
 /// Like [`run_eval_faulted`] but under an explicit campaign execution
-/// mode — the entry point the fork-vs-replay differential tests and the
-/// `perf/campaign_fork_vs_replay` benchmark use.
+/// mode — the entry point the clean-slate determinism test and the
+/// `BENCH_2.json` replay-vs-redeploy measurements use.
 #[allow(clippy::too_many_arguments)]
 pub fn run_eval_mode(
     flavor: Flavor,
@@ -148,7 +143,6 @@ pub fn run_eval_mode(
         seed,
         threshold_t,
         weights,
-        true,
         fault_profile,
         mode,
         true,
@@ -157,11 +151,11 @@ pub fn run_eval_mode(
 
 /// Clean-slate evaluation with the simulator's snapshot capability
 /// switched off: every iteration re-establishes the initial state through
-/// a full redeploy. This is the pre-fork-engine baseline the
-/// `perf/campaign_fork_vs_replay` measurements compare throughput against.
-/// Note its virtual-time axis differs from the snapshot modes (a redeploy
-/// charges one virtual minute; a restore is free), so only wall-clock
-/// throughput — not per-campaign results — is comparable.
+/// a full redeploy. This is the baseline the `BENCH_2.json` measurements
+/// compare snapshot-restore throughput against. Note its virtual-time
+/// axis differs from the snapshot path (a redeploy charges one virtual
+/// minute; a restore is free), so only wall-clock throughput — not
+/// per-campaign results — is comparable.
 #[allow(clippy::too_many_arguments)]
 pub fn run_eval_redeploy(
     flavor: Flavor,
@@ -181,37 +175,9 @@ pub fn run_eval_redeploy(
         seed,
         threshold_t,
         weights,
-        true,
         fault_profile,
         ExecutionMode::FullReplay,
         false,
-    )
-}
-
-/// Like [`run_eval`] but routing simulator placement through the uncached
-/// reference path: the benchmark baseline for the cached hot loop. The
-/// campaign outcome is identical either way; only the wall clock differs.
-pub fn run_eval_baseline(
-    flavor: Flavor,
-    strategy_name: &str,
-    bugs: BugSet,
-    hours: u64,
-    seed: u64,
-    threshold_t: f64,
-    weights: VarianceWeights,
-) -> EvalResult {
-    eval_inner(
-        flavor,
-        strategy_name,
-        bugs,
-        hours,
-        seed,
-        threshold_t,
-        weights,
-        false,
-        "none",
-        ExecutionMode::Accumulate,
-        true,
     )
 }
 
@@ -224,7 +190,6 @@ fn eval_inner(
     seed: u64,
     threshold_t: f64,
     weights: VarianceWeights,
-    placement_caching: bool,
     fault_profile: &str,
     mode: ExecutionMode,
     use_snapshots: bool,
@@ -234,10 +199,6 @@ fn eval_inner(
     // Nothing in the eval pipeline reads the rendered command log; skip
     // the per-send operation clone it would cost.
     adaptor.command_log_cap = 0;
-    adaptor
-        .handle()
-        .borrow_mut()
-        .set_placement_caching(placement_caching);
     eval_prepared(
         &mut adaptor,
         flavor,

@@ -16,6 +16,4 @@ pub mod scaling;
 pub mod tables;
 
 pub use grid::{run_cell, run_grid, steal_execute, GridCell, GridOutcome, GridSpec, WorkerStats};
-pub use harness::{
-    render_table, run_eval, run_eval_baseline, run_matrix, run_strategy_all_flavors, EvalResult,
-};
+pub use harness::{render_table, run_eval, run_matrix, run_strategy_all_flavors, EvalResult};

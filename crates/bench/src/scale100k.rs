@@ -2,9 +2,9 @@
 //! variance-probe flatness from 10 to 100k storage nodes (with the
 //! bulk-load preload wall time per point), differential campaigns
 //! quantifying what candidate-sampling placement gives up against the
-//! full-scan policies, the serial-vs-batched request-loop amortization,
-//! and a batched heavy campaign at 100k nodes with a same-seed
-//! byte-identity check.
+//! full-scan policies, and a heavy campaign at 100k nodes with its failed
+//! operations counted by cause and a same-seed byte-identity check. Every
+//! request goes through [`DfsSim::execute`].
 //!
 //! The documented sampling-quality bound gated by CI is
 //! `sampled_cv <= SAMPLED_CV_SLACK_FACTOR * full_cv + SAMPLED_CV_SLACK_ABS`
@@ -14,6 +14,7 @@
 
 use crate::perf::{json_f64, push_json_str, push_measurements, sample, RawMeasurement};
 use simdfs::{BugSet, DfsRequest, DfsSim, Flavor, FlavorConfig, MIB};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Splitmix-style bit mixer used to derive deterministic request streams
@@ -84,19 +85,17 @@ impl ProbeScaling {
     }
 }
 
-/// Builds a scaled HDFS-flavor sim and warms it through the batched
-/// request path so probe measurements see a working cluster.
+/// Builds a scaled sim and warms it with creates so probe measurements
+/// see a working cluster.
 fn build_scaled(flavor: Flavor, nodes: u32, warmup_files: u32) -> DfsSim {
     let cfg = FlavorConfig::scaled(flavor, nodes);
     let mut sim = DfsSim::with_config(cfg, BugSet::None);
-    let reqs: Vec<DfsRequest> = (0..warmup_files)
-        .map(|k| DfsRequest::Create {
+    for k in 0..warmup_files {
+        let _ = sim.execute(&DfsRequest::Create {
             path: format!("/warmup{k}"),
             size: 4 * MIB,
-        })
-        .collect();
-    let mut out = Vec::new();
-    sim.execute_batch(&reqs, &mut out);
+        });
+    }
     sim
 }
 
@@ -170,25 +169,15 @@ impl SampledVsFull {
 }
 
 /// Runs one side of the differential: `files` creates with seed-derived
-/// sizes through the batched request path, CV read at the end.
+/// sizes, CV read at the end.
 fn fill_with(cfg: FlavorConfig, seed: u64, files: u32) -> (f64, f64) {
     let start = Instant::now();
     let mut sim = DfsSim::with_config(cfg, BugSet::None);
-    let mut out = Vec::new();
-    let mut batch = Vec::with_capacity(64);
     for i in 0..files {
-        let size = (1 + mix(seed ^ u64::from(i)) % 32) * MIB;
-        batch.push(DfsRequest::Create {
+        let _ = sim.execute(&DfsRequest::Create {
             path: format!("/fill{i}"),
-            size,
+            size: (1 + mix(seed ^ u64::from(i)) % 32) * MIB,
         });
-        if batch.len() == 64 {
-            sim.execute_batch(&batch, &mut out);
-            batch.clear();
-        }
-    }
-    if !batch.is_empty() {
-        sim.execute_batch(&batch, &mut out);
     }
     (util_cv(&sim), start.elapsed().as_secs_f64())
 }
@@ -230,97 +219,21 @@ pub fn run_sampled_vs_full(flavor: Flavor, nodes: u32, seed: u64, files: u32) ->
     out
 }
 
-/// Serial-vs-batched wall time for the same request stream: what
-/// `execute_batch` buys by amortizing the clock advance, fault-schedule
-/// checks and variance sampling across a quiescent run of requests.
+/// Result of one heavy campaign on a sampled-flavor cluster.
 #[derive(Debug, Clone)]
-pub struct BatchAmortization {
-    /// Target flavor (sampled placement, so bookkeeping dominates).
-    pub flavor: Flavor,
-    /// Storage fleet size.
-    pub nodes: u32,
-    /// Requests in the stream.
-    pub requests: u64,
-    /// Batch size used on the batched side.
-    pub batch: usize,
-    /// Wall seconds executing the stream one request at a time.
-    pub serial_s: f64,
-    /// Wall seconds executing the stream in batches.
-    pub batched_s: f64,
-}
-
-impl BatchAmortization {
-    /// Serial-over-batched speedup.
-    pub fn speedup(&self) -> f64 {
-        if self.batched_s > 0.0 {
-            self.serial_s / self.batched_s
-        } else {
-            f64::NAN
-        }
-    }
-}
-
-/// Times the same create stream serially and in batches on fresh
-/// sampled-flavor sims. The batched run legitimately advances the clock
-/// and samples variance once per batch instead of once per request, so
-/// only wall time is compared here; state equivalence of the per-request
-/// mutation path is pinned by the simdfs-level batch tests.
-pub fn measure_batch_amortization(
-    flavor: Flavor,
-    nodes: u32,
-    requests: u64,
-    batch: usize,
-) -> BatchAmortization {
-    let reqs: Vec<DfsRequest> = (0..requests)
-        .map(|k| DfsRequest::Create {
-            path: format!("/amort{k}"),
-            size: (1 + mix(k) % 16) * MIB,
-        })
-        .collect();
-
-    let cfg = FlavorConfig::sampled_scaled(flavor, nodes);
-    let mut serial_sim = DfsSim::with_config(cfg.clone(), BugSet::None);
-    let start = Instant::now();
-    for r in &reqs {
-        let _ = serial_sim.execute(r);
-    }
-    let serial_s = start.elapsed().as_secs_f64();
-
-    let mut batched_sim = DfsSim::with_config(cfg, BugSet::None);
-    let mut out = Vec::new();
-    let start = Instant::now();
-    for chunk in reqs.chunks(batch.max(1)) {
-        batched_sim.execute_batch(chunk, &mut out);
-    }
-    let batched_s = start.elapsed().as_secs_f64();
-
-    BatchAmortization {
-        flavor,
-        nodes,
-        requests,
-        batch,
-        serial_s,
-        batched_s,
-    }
-}
-
-/// Result of one batched heavy campaign on a sampled-flavor cluster.
-#[derive(Debug, Clone)]
-pub struct BatchedCampaign {
+pub struct Campaign100k {
     /// Target flavor.
     pub flavor: Flavor,
     /// Storage fleet size.
     pub nodes: u32,
     /// Stream seed.
     pub seed: u64,
-    /// Batches executed.
-    pub batches: u64,
-    /// Requests per batch.
-    pub batch_size: usize,
     /// Requests executed (including failed ones).
     pub ops: u64,
     /// Requests that returned an error.
     pub failed_ops: u64,
+    /// Failed requests per [`simdfs::SimError::kind`], in name order.
+    pub failed_by_cause: BTreeMap<&'static str, u64>,
     /// Final max-over-mean storage imbalance ratio.
     pub final_imbalance: f64,
     /// Whether the full state audit passed at the end of the run.
@@ -349,31 +262,19 @@ fn campaign_request(seed: u64, i: u64) -> DfsRequest {
     }
 }
 
-/// Runs one batched heavy campaign: a deterministic create-heavy stream
-/// through `execute_batch` on a sampled-flavor scaled cluster (the
-/// combination that makes a 100k-node campaign tractable: O(d) placement
-/// per create, per-batch clock/variance bookkeeping), with the full
-/// state audit at the end.
-pub fn run_batched_campaign(
-    flavor: Flavor,
-    nodes: u32,
-    seed: u64,
-    batches: u64,
-    batch_size: usize,
-) -> BatchedCampaign {
+/// Runs one heavy campaign: `requests` requests of a deterministic
+/// create-heavy stream on a sampled-flavor scaled cluster (O(d) placement
+/// per create is what makes a 100k-node campaign tractable), with the
+/// full state audit at the end.
+pub fn run_campaign_100k(flavor: Flavor, nodes: u32, seed: u64, requests: u64) -> Campaign100k {
     let start = Instant::now();
     let cfg = FlavorConfig::sampled_scaled(flavor, nodes);
     let mut sim = DfsSim::with_config(cfg, BugSet::None);
-    let mut out = Vec::new();
-    let mut batch = Vec::with_capacity(batch_size);
-    let mut k = 0u64;
-    for _ in 0..batches {
-        batch.clear();
-        for _ in 0..batch_size {
-            batch.push(campaign_request(seed, k));
-            k += 1;
+    let mut failed_by_cause = BTreeMap::new();
+    for k in 0..requests {
+        if let Err(e) = sim.execute(&campaign_request(seed, k)) {
+            *failed_by_cause.entry(e.kind()).or_insert(0u64) += 1;
         }
-        sim.execute_batch(&batch, &mut out);
     }
 
     let stats = sim.stats();
@@ -381,22 +282,25 @@ pub fn run_batched_campaign(
     let audit_ok = sim.audit_state().is_ok();
     let wall_s = start.elapsed().as_secs_f64();
 
+    let causes: Vec<String> = failed_by_cause
+        .iter()
+        .map(|(kind, n)| format!("{kind}:{n}"))
+        .collect();
     let report = format!(
-        "batched-campaign flavor={} nodes={nodes} seed={seed} batches={batches} \
-         batch={batch_size} ops={} failed={} imbalance={final_imbalance:.9} \
-         audit={audit_ok}",
+        "campaign flavor={} nodes={nodes} seed={seed} ops={} failed={} \
+         failed_by_cause={} imbalance={final_imbalance:.9} audit={audit_ok}",
         flavor.name(),
         stats.ops,
         stats.failed_ops,
+        causes.join(","),
     );
-    BatchedCampaign {
+    Campaign100k {
         flavor,
         nodes,
         seed,
-        batches,
-        batch_size,
         ops: stats.ops,
         failed_ops: stats.failed_ops,
+        failed_by_cause,
         final_imbalance,
         audit_ok,
         wall_s,
@@ -404,26 +308,20 @@ pub fn run_batched_campaign(
     }
 }
 
-/// Same-seed determinism at 100k: two fresh batched campaigns with
-/// identical parameters must produce byte-identical reports.
+/// Same-seed determinism at 100k: two fresh campaigns with identical
+/// parameters must produce byte-identical reports.
 #[derive(Debug, Clone)]
 pub struct Determinism100k {
     /// The first run (the one reported in the artifact).
-    pub campaign: BatchedCampaign,
+    pub campaign: Campaign100k,
     /// Whether the second run's report matched byte for byte.
     pub identical: bool,
 }
 
-/// Runs the batched campaign twice from scratch and compares reports.
-pub fn check_batched_determinism(
-    flavor: Flavor,
-    nodes: u32,
-    seed: u64,
-    batches: u64,
-    batch_size: usize,
-) -> Determinism100k {
-    let first = run_batched_campaign(flavor, nodes, seed, batches, batch_size);
-    let second = run_batched_campaign(flavor, nodes, seed, batches, batch_size);
+/// Runs the heavy campaign twice from scratch and compares reports.
+pub fn check_determinism(flavor: Flavor, nodes: u32, seed: u64, requests: u64) -> Determinism100k {
+    let first = run_campaign_100k(flavor, nodes, seed, requests);
+    let second = run_campaign_100k(flavor, nodes, seed, requests);
     let identical = first.report == second.report;
     Determinism100k {
         campaign: first,
@@ -436,7 +334,6 @@ pub fn bench6_json(
     cores: usize,
     probe: &ProbeScaling,
     diffs: &[SampledVsFull],
-    amortization: &BatchAmortization,
     determinism: &Determinism100k,
 ) -> String {
     let mut out = String::new();
@@ -502,37 +399,22 @@ pub fn bench6_json(
     }
     out.push_str("  ],\n");
 
-    out.push_str("  \"batch_amortization\": {\n");
-    out.push_str(&format!(
-        "    \"flavor\": \"{}\",\n",
-        amortization.flavor.name()
-    ));
-    out.push_str(&format!("    \"nodes\": {},\n", amortization.nodes));
-    out.push_str(&format!("    \"requests\": {},\n", amortization.requests));
-    out.push_str(&format!("    \"batch\": {},\n", amortization.batch));
-    out.push_str(&format!(
-        "    \"serial_s\": {},\n",
-        json_f64(amortization.serial_s)
-    ));
-    out.push_str(&format!(
-        "    \"batched_s\": {},\n",
-        json_f64(amortization.batched_s)
-    ));
-    out.push_str(&format!(
-        "    \"speedup\": {}\n",
-        json_f64(amortization.speedup())
-    ));
-    out.push_str("  },\n");
-
     let c = &determinism.campaign;
-    out.push_str("  \"batched_campaign\": {\n");
+    out.push_str("  \"campaign\": {\n");
     out.push_str(&format!("    \"flavor\": \"{}\",\n", c.flavor.name()));
     out.push_str(&format!("    \"nodes\": {},\n", c.nodes));
     out.push_str(&format!("    \"seed\": {},\n", c.seed));
-    out.push_str(&format!("    \"batches\": {},\n", c.batches));
-    out.push_str(&format!("    \"batch_size\": {},\n", c.batch_size));
     out.push_str(&format!("    \"ops\": {},\n", c.ops));
     out.push_str(&format!("    \"failed_ops\": {},\n", c.failed_ops));
+    let causes: Vec<String> = c
+        .failed_by_cause
+        .iter()
+        .map(|(kind, n)| format!("\"{kind}\": {n}"))
+        .collect();
+    out.push_str(&format!(
+        "    \"failed_by_cause\": {{{}}},\n",
+        causes.join(", ")
+    ));
     out.push_str(&format!(
         "    \"final_imbalance\": {},\n",
         json_f64(c.final_imbalance)
@@ -544,21 +426,6 @@ pub fn bench6_json(
     push_json_str(&mut out, &c.report);
     out.push_str("\n  }\n}\n");
     out
-}
-
-/// Writes the 100k-topology artifact to `path`.
-pub fn write_bench6_json(
-    path: &std::path::Path,
-    cores: usize,
-    probe: &ProbeScaling,
-    diffs: &[SampledVsFull],
-    amortization: &BatchAmortization,
-    determinism: &Determinism100k,
-) -> std::io::Result<()> {
-    std::fs::write(
-        path,
-        bench6_json(cores, probe, diffs, amortization, determinism),
-    )
 }
 
 #[cfg(test)]
@@ -594,19 +461,16 @@ mod tests {
     }
 
     #[test]
-    fn batch_amortization_measures_both_arms() {
-        let a = measure_batch_amortization(Flavor::Hdfs, 200, 512, 64);
-        assert!(a.serial_s > 0.0 && a.batched_s > 0.0);
-        assert!(a.speedup().is_finite());
-    }
-
-    #[test]
     fn batched_campaigns_are_deterministic_per_seed() {
-        let d = check_batched_determinism(Flavor::CephFs, 150, 7, 6, 48);
+        let d = check_determinism(Flavor::CephFs, 150, 7, 288);
         assert!(d.identical, "same-seed reports diverged");
         assert!(d.campaign.audit_ok, "audit failed: {}", d.campaign.report);
         assert!(d.campaign.ops > 0);
-        let other = run_batched_campaign(Flavor::CephFs, 150, 8, 6, 48);
+        assert_eq!(
+            d.campaign.failed_by_cause.values().sum::<u64>(),
+            d.campaign.failed_ops
+        );
+        let other = run_campaign_100k(Flavor::CephFs, 150, 8, 288);
         assert_ne!(d.campaign.report, other.report, "seed must matter");
     }
 
@@ -651,36 +515,27 @@ mod tests {
             sampled_wall_s: 0.1,
             report: "sampled-vs-full \"quoted\"".into(),
         };
-        let a = BatchAmortization {
-            flavor: Flavor::Hdfs,
-            nodes: 10_000,
-            requests: 20_000,
-            batch: 64,
-            serial_s: 2.0,
-            batched_s: 1.0,
-        };
         let det = Determinism100k {
-            campaign: BatchedCampaign {
+            campaign: Campaign100k {
                 flavor: Flavor::Hdfs,
                 nodes: 100_000,
                 seed: 0xbe,
-                batches: 64,
-                batch_size: 128,
                 ops: 8192,
                 failed_ops: 17,
+                failed_by_cause: BTreeMap::from([("AlreadyExists", 5), ("NoSuchPath", 12)]),
                 final_imbalance: 1.25,
                 audit_ok: true,
                 wall_s: 9.0,
-                report: "batched-campaign ok".into(),
+                report: "campaign ok".into(),
             },
             identical: true,
         };
-        let j = bench6_json(4, &p, std::slice::from_ref(&d), &a, &det);
+        let j = bench6_json(4, &p, std::slice::from_ref(&d), &det);
         assert!(j.contains("\"schema\": \"themis-bench-v6\""));
         assert!(j.contains("\"schema_version\": 6"));
         assert!(j.contains("\"probe_cost_ratio_10k_100k\": 1.2"));
         assert!(j.contains("\"within_bound\": true"));
-        assert!(j.contains("\"speedup\": 2.0"));
+        assert!(j.contains("\"failed_by_cause\": {\"AlreadyExists\": 5, \"NoSuchPath\": 12}"));
         assert!(j.contains("\"identical\": true"));
         assert!(j.contains("\\\"quoted\\\""));
         assert_eq!(j.matches('{').count(), j.matches('}').count());

@@ -1,8 +1,9 @@
 //! A campaign is a pure function of (flavor, strategy, seed): the grid
 //! executor must return bit-identical results to serial execution no
-//! matter how many workers race over the matrix — and the snapshot-fork
-//! engine must be bit-identical to full replay on every flavor, including
-//! under an active fault profile.
+//! matter how many workers race over the matrix — and a clean-slate
+//! full-replay campaign, which rewinds the simulator to its snapshot base
+//! before every iteration, must replay bit-identically on every flavor,
+//! including under an active fault profile.
 
 use bench::harness::run_eval_mode;
 use bench::{run_cell, run_grid, GridSpec};
@@ -101,15 +102,16 @@ fn scaled_grid_cells_are_identical_to_serial_reference() {
 }
 
 #[test]
-fn fork_engine_is_bit_identical_to_full_replay_on_every_flavor() {
-    // Every flavor, unfaulted and under an active fault profile: the
-    // O(suffix) fork engine and the full-replay engine must produce the
-    // same campaign down to iterations, ops, detections, confirmed
-    // failures and their reproduction logs (CampaignResult's PartialEq
-    // covers all of it, including the Arc'd logs by content).
+fn full_replay_is_deterministic_on_every_flavor() {
+    // Every flavor, unfaulted and under an active fault profile: two
+    // same-seed full-replay campaigns must agree down to iterations, ops,
+    // detections, confirmed failures and their reproduction logs
+    // (CampaignResult's PartialEq covers all of it, including the Arc'd
+    // logs by content). Debug builds audit the simulator state after
+    // every snapshot restore, so this also checks each rewind.
     for flavor in Flavor::all() {
         for profile in ["none", "crash"] {
-            let run = |mode: ExecutionMode| {
+            let run = || {
                 run_eval_mode(
                     flavor,
                     "Themis",
@@ -119,31 +121,31 @@ fn fork_engine_is_bit_identical_to_full_replay_on_every_flavor() {
                     0.25,
                     VarianceWeights::default(),
                     profile,
-                    mode,
+                    ExecutionMode::FullReplay,
                 )
             };
-            let fork = run(ExecutionMode::Fork);
-            let full = run(ExecutionMode::FullReplay);
+            let first = run();
+            let second = run();
             assert_eq!(
-                fork.campaign,
-                full.campaign,
-                "fork engine diverged from full replay on {} / {profile}",
+                first.campaign,
+                second.campaign,
+                "full replay diverged between same-seed runs on {} / {profile}",
                 flavor.name()
             );
-            assert_eq!(fork.found, full.found, "{} / {profile}", flavor.name());
+            assert_eq!(first.found, second.found, "{} / {profile}", flavor.name());
             assert_eq!(
-                fork.first_trigger_min,
-                full.first_trigger_min,
+                first.first_trigger_min,
+                second.first_trigger_min,
                 "{} / {profile}",
                 flavor.name()
             );
             assert_eq!(
-                fork.false_positive_confirms,
-                full.false_positive_confirms,
+                first.false_positive_confirms,
+                second.false_positive_confirms,
                 "{} / {profile}",
                 flavor.name()
             );
-            assert!(fork.campaign.iterations > 0, "{}", flavor.name());
+            assert!(first.campaign.iterations > 0, "{}", flavor.name());
         }
     }
 }

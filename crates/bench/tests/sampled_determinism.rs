@@ -1,10 +1,10 @@
 //! Sampled placement under the grid executor: the candidate-sampling
 //! policies hash their probe sequences from the placement key, so a
-//! batched campaign on a sampled flavor must stay a pure function of its
+//! campaign on a sampled flavor must stay a pure function of its
 //! seed no matter how many workers race over the campaign matrix or
 //! which steal schedule they happen to take.
 
-use bench::scale100k::run_batched_campaign;
+use bench::scale100k::run_campaign_100k;
 use bench::steal_execute;
 use proptest::prelude::*;
 use simdfs::Flavor;
@@ -21,7 +21,7 @@ proptest! {
         seed in any::<u64>(),
         flavor_ix in 0usize..4,
         nodes in 80u32..240,
-        batches in 2u64..6,
+        requests in 96u64..288,
     ) {
         let flavor = Flavor::all()[flavor_ix];
         let seeds: Vec<u64> = (0..4u64)
@@ -29,12 +29,12 @@ proptest! {
             .collect();
         let serial: Vec<String> = seeds
             .iter()
-            .map(|&s| run_batched_campaign(flavor, nodes, s, batches, 48).report)
+            .map(|&s| run_campaign_100k(flavor, nodes, s, requests).report)
             .collect();
         for workers in [2usize, 4, 8] {
             let seeds = &seeds;
             let (reports, _stats) = steal_execute(seeds.len(), workers, |_w| {
-                move |i: usize| run_batched_campaign(flavor, nodes, seeds[i], batches, 48).report
+                move |i: usize| run_campaign_100k(flavor, nodes, seeds[i], requests).report
             });
             prop_assert_eq!(&reports, &serial, "workers={} diverged", workers);
         }

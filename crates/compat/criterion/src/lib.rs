@@ -10,8 +10,7 @@
 //!
 //! Measurements are also recorded in a process-global table so a bench
 //! target can export a machine-readable artifact afterwards (see
-//! [`take_measurements`]); the `bench` crate uses this to write
-//! `BENCH_1.json`.
+//! [`take_measurements`]).
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};

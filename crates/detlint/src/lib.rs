@@ -1,7 +1,7 @@
 //! detlint — a workspace determinism-and-safety linter.
 //!
 //! The Themis reproduction's headline guarantees (grid == serial identity,
-//! `Fork == FullReplay` bit-identity, same-seed replayability) are dynamic
+//! snapshot restore == fresh deploy, same-seed replayability) are dynamic
 //! properties enforced by differential tests. `detlint` is the static side
 //! of that contract: it scans every `.rs` file in the workspace and fails
 //! on constructs that are known to break replay — unordered hash-container

@@ -76,6 +76,27 @@ impl std::fmt::Display for SimError {
     }
 }
 
+impl SimError {
+    /// The variant's name, for tallying failures by cause.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            SimError::NoSuchPath(_) => "NoSuchPath",
+            SimError::NotADirectory(_) => "NotADirectory",
+            SimError::IsADirectory(_) => "IsADirectory",
+            SimError::AlreadyExists(_) => "AlreadyExists",
+            SimError::DirectoryNotEmpty(_) => "DirectoryNotEmpty",
+            SimError::NoSuchNode(_) => "NoSuchNode",
+            SimError::NoSuchVolume(_) => "NoSuchVolume",
+            SimError::OutOfSpace { .. } => "OutOfSpace",
+            SimError::LastNode(_) => "LastNode",
+            SimError::NodeOffline(_) => "NodeOffline",
+            SimError::VolumeBusy { .. } => "VolumeBusy",
+            SimError::ResourceLimit(_) => "ResourceLimit",
+            SimError::ClusterDown => "ClusterDown",
+        }
+    }
+}
+
 impl std::error::Error for SimError {}
 
 /// Convenience result alias for simulator operations.

@@ -112,8 +112,10 @@ pub trait PlacementPolicy: std::fmt::Debug + Send {
     /// means no placement is possible.
     ///
     /// This is the uncached reference path: ring policies rebuild their
-    /// ring on every call. The simulator's hot path goes through
-    /// [`PlacementPolicy::place_cached`] instead.
+    /// ring on every call. The simulator uses it only for partition- and
+    /// hotspot-filtered views; canonical views go through
+    /// [`PlacementPolicy::place_cached`], which the tests check against
+    /// this path.
     fn place(&self, key: u64, size: Bytes, replicas: usize, views: &[VolumeView]) -> Placement;
 
     /// Rebuilds `cache`'s precomputed structures for `views`. Called by

@@ -98,9 +98,6 @@ pub struct DfsSim {
     /// Precomputed placement structures keyed off the cluster's topology
     /// generation (rings, weight tables) plus scoring scratch buffers.
     placement_cache: PlacementCache,
-    /// Whether placement goes through the generation-keyed cache (default)
-    /// or the uncached reference path (benchmark baseline).
-    placement_caching: bool,
     /// Reusable canonical volume-view buffer for the placement hot path.
     views_buf: Vec<VolumeView>,
     /// Reusable per-block placement output buffer.
@@ -223,7 +220,6 @@ impl DfsSim {
         let mut sim = DfsSim {
             placement: cfg.placement.build(),
             placement_cache: PlacementCache::new(),
-            placement_caching: true,
             views_buf: Vec::new(),
             placed_buf: Vec::new(),
             frags_buf: Vec::new(),
@@ -394,12 +390,6 @@ impl DfsSim {
         &self.faults
     }
 
-    /// Routes placement through the uncached reference path when disabled.
-    /// Benchmark baseline knob; results are identical either way.
-    pub fn set_placement_caching(&mut self, enabled: bool) {
-        self.placement_caching = enabled;
-    }
-
     /// Bytes lost to data-loss effects so far.
     pub fn bytes_lost(&self) -> Bytes {
         self.stats.bytes_lost
@@ -479,77 +469,6 @@ impl DfsSim {
             out.latency_ms = cost;
             out
         })
-    }
-
-    /// Executes a run of requests as one batch, appending one result per
-    /// request to `out` (cleared first).
-    ///
-    /// When the simulator is *quiescent* — no bug specs armed, no fault
-    /// plan, crash instrumentation disarmed, balancer idle — and the batch
-    /// contains only data-path requests, the per-op epilogue (clock
-    /// advance, fault-schedule check, variance sampling, balancer
-    /// activation) is amortized across the batch: requests execute
-    /// back-to-back at the same virtual instant and the clock advances
-    /// once by the summed cost at the end, exactly like a burst of
-    /// concurrent clients. Routing, namespace/cluster mutation, statistics
-    /// and coverage stay per-op, so placements and load accounting are
-    /// identical to serial execution. Outside the quiescent case — or when
-    /// the batch contains membership or config requests, which must
-    /// observe their own epilogue — every request goes through
-    /// [`DfsSim::execute`] unchanged.
-    pub fn execute_batch(&mut self, reqs: &[DfsRequest], out: &mut Vec<SimResult<ReqOutcome>>) {
-        out.clear();
-        out.reserve(reqs.len());
-        if !self.batch_fast_path(reqs) {
-            for req in reqs {
-                out.push(self.execute(req));
-            }
-            return;
-        }
-        if self.cluster_down() {
-            for _ in reqs {
-                out.push(Err(SimError::ClusterDown));
-            }
-            return;
-        }
-        let mut total_cost = 0u64;
-        for req in reqs {
-            let class = req.class();
-            let mgmt = self.route_request(req);
-            let cost = self.request_cost(req);
-            self.charge_mgmt(mgmt, req);
-            let result = self.apply_request(req);
-            let ok = result.is_ok();
-            self.stats.ops += 1;
-            if ok {
-                self.stats.class_counts[class.index() as usize] += 1;
-            } else {
-                self.stats.failed_ops += 1;
-            }
-            self.touch_op_coverage(req, ok);
-            total_cost = total_cost.saturating_add(cost);
-            out.push(result.map(|mut o| {
-                o.latency_ms = cost;
-                o
-            }));
-        }
-        self.advance(total_cost);
-        self.sample_variance();
-        self.maybe_activate_balancer(OpClass::Read, true);
-    }
-
-    /// Whether `reqs` may take the amortized batch path: nothing
-    /// time-sensitive is armed and no request needs its own epilogue.
-    fn batch_fast_path(&self, reqs: &[DfsRequest]) -> bool {
-        self.bugs.bugs().is_empty()
-            && !self.faults.any()
-            && !self.crash.armed()
-            && self.crash.in_flight.is_none()
-            && self.balancer.status() == RebalanceStatus::Done
-            && reqs.iter().all(|r| {
-                let c = r.class();
-                !c.is_membership() && !c.is_config()
-            })
     }
 
     fn cluster_down(&self) -> bool {
@@ -860,7 +779,7 @@ impl DfsSim {
             Some((pct, victim)) if ((mix(key, 0x68_6f_74) % 100) as u8) < pct => Some(victim),
             _ => None,
         };
-        if hot_victim.is_none() && !self.faults.has_partitions() && self.placement_caching {
+        if hot_victim.is_none() && !self.faults.has_partitions() {
             return self.plan_fragments_canonical(key, size);
         }
         let mut views = std::mem::take(&mut self.views_buf);
@@ -921,7 +840,7 @@ impl DfsSim {
         let generation = self.cluster.generation();
         while remaining > 0 {
             let b = block.min(remaining);
-            if canonical && self.placement_caching {
+            if canonical {
                 self.placement.place_cached_into(
                     &mut self.placement_cache,
                     generation,
@@ -1140,9 +1059,9 @@ impl DfsSim {
     }
 
     /// Single-replica hash-location lookup on the canonical views (Gluster
-    /// linkfile maintenance), through the placement cache when enabled.
+    /// linkfile maintenance), through the placement cache.
     fn hash_location(&mut self, key: u64) -> Option<VolumeId> {
-        if !self.faults.has_partitions() && self.placement_caching {
+        if !self.faults.has_partitions() {
             // Common case: look up against the cluster's canonical views
             // cache directly, no per-op copy.
             let generation = self.cluster.generation();
@@ -1168,7 +1087,7 @@ impl DfsSim {
             self.views_buf.retain(|v| !faults.is_partitioned(v.node));
             canonical = self.views_buf.len() == before;
         }
-        if canonical && self.placement_caching {
+        if canonical {
             let mut placed = std::mem::take(&mut self.placed_buf);
             self.placement.place_cached_into(
                 &mut self.placement_cache,
@@ -3583,95 +3502,6 @@ mod tests {
         // detlint:allow(journal-coverage): deliberate ownership corruption to exercise the release-mode auditor
         s.cluster.volume_owner.remove(&vid);
         assert!(s.audit_state().is_err());
-    }
-
-    #[test]
-    fn batch_matches_serial_data_path_state() {
-        // The amortized batch path must leave the storage state — file
-        // table, fill levels, streaming tracker, virtual clock, op stats —
-        // exactly where serial execution leaves it: mutation stays per-op
-        // and the clock advances once by the summed cost.
-        let reqs: Vec<DfsRequest> = (0..40)
-            .map(|i| DfsRequest::Create {
-                path: format!("/f{i}"),
-                size: (1 + i % 7) * MIB,
-            })
-            .chain((0..10).map(|i| DfsRequest::Delete {
-                path: format!("/f{}", i * 3),
-            }))
-            .chain((0..10).map(|i| DfsRequest::Open {
-                path: format!("/f{}", 1 + i * 2),
-            }))
-            .collect();
-        for flavor in Flavor::all() {
-            // Suppress balancer activation: a continuous balancer may start
-            // a round *between* ops serially but only at the batch edge
-            // when amortized — a documented semantic of the batch API, not
-            // what this test isolates (the per-op mutation path).
-            let mk = || {
-                let mut cfg = flavor.config();
-                cfg.base_fill = 0.0;
-                cfg.balance_threshold = 1e9;
-                DfsSim::with_config(cfg, BugSet::None)
-            };
-            let mut serial = mk();
-            let mut batched = mk();
-            let serial_res: Vec<_> = reqs.iter().map(|r| serial.execute(r)).collect();
-            let mut batched_res = Vec::new();
-            batched.execute_batch(&reqs, &mut batched_res);
-            assert_eq!(serial_res.len(), batched_res.len());
-            for (a, b) in serial_res.iter().zip(batched_res.iter()) {
-                assert_eq!(a.is_ok(), b.is_ok(), "{flavor}");
-            }
-            assert_eq!(serial.cluster.total_used(), batched.cluster.total_used());
-            assert_eq!(serial.cluster.files().len(), batched.cluster.files().len());
-            assert_eq!(
-                serial.cluster.util_stats(),
-                batched.cluster.util_stats(),
-                "{flavor} tracker diverged"
-            );
-            assert_eq!(serial.now(), batched.now(), "{flavor} clock diverged");
-            assert_eq!(serial.stats().ops, batched.stats().ops);
-            assert_eq!(serial.stats().failed_ops, batched.stats().failed_ops);
-            batched.audit_state().expect("batched state audits clean");
-        }
-    }
-
-    #[test]
-    fn batch_falls_back_to_serial_when_not_quiescent() {
-        // Membership requests need their own epilogue (balancer recovery,
-        // fault bookkeeping), so a batch containing one must behave exactly
-        // like serial execution — including the per-op clock advance.
-        let reqs = vec![
-            DfsRequest::Create {
-                path: "/a".into(),
-                size: 4 * MIB,
-            },
-            DfsRequest::AddStorageNode {
-                volumes: 1,
-                capacity: 1024 * MIB,
-            },
-            DfsRequest::Create {
-                path: "/b".into(),
-                size: 4 * MIB,
-            },
-        ];
-        let mut serial = sim(Flavor::GlusterFs);
-        let mut batched = sim(Flavor::GlusterFs);
-        assert!(!batched.batch_fast_path(&reqs));
-        for r in &reqs {
-            let _ = serial.execute(r);
-        }
-        let mut out = Vec::new();
-        batched.execute_batch(&reqs, &mut out);
-        assert_eq!(out.len(), reqs.len());
-        assert_eq!(serial.now(), batched.now());
-        assert_eq!(serial.cluster.total_used(), batched.cluster.total_used());
-        assert_eq!(serial.cluster.storage.len(), batched.cluster.storage.len());
-        // A sim with armed bug specs is never quiescent.
-        let armed = DfsSim::new(Flavor::Hdfs, BugSet::New);
-        let data_only = [DfsRequest::Open { path: "/x".into() }];
-        assert!(!armed.batch_fast_path(&data_only));
     }
 
     #[test]

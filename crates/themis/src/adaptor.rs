@@ -184,11 +184,10 @@ pub trait DfsAdaptor {
 
     /// Optional fork/restore capability. Adaptors whose target can cheaply
     /// save and rewind execution state (the simulator; a real deployment
-    /// on a filesystem with snapshots) return `Some`, which lets the
-    /// campaign's fork engine replay only the divergent suffix of each
-    /// test case instead of the whole case from a reset. The default is
-    /// `None`: the campaign then falls back to full replay and produces
-    /// bit-identical results, just slower.
+    /// on a filesystem with snapshots) return `Some`, which lets
+    /// clean-slate campaigns restore the initial state before each test
+    /// case instead of redeploying the target. The default is `None`:
+    /// clean-slate campaigns then reset the target between cases.
     fn snapshots(&mut self) -> Option<&mut dyn SnapshotCapable> {
         None
     }
@@ -275,7 +274,8 @@ pub trait CrashExplorable {
 /// Cheap deterministic fork/restore over target state, exposed by
 /// adaptors through [`DfsAdaptor::snapshots`].
 ///
-/// Semantics contract (the fork engine depends on each of these):
+/// Semantics contract (clean-slate campaigns and the crash explorer
+/// depend on each of these):
 /// - Marks form a **stack along one execution lineage**: restoring a mark
 ///   invalidates every mark taken after it.
 /// - [`SnapshotCapable::restore`] rewinds *everything* the target's

@@ -15,7 +15,6 @@ use crate::gen::MAX_SEQ_LEN;
 use crate::lvm::{self, VarianceWeights};
 use crate::model::InputModel;
 use crate::report::{ConfirmedFailure, LoggedOp, ReproLog};
-use crate::seedpool::PrefixChain;
 use crate::strategies::{ExecFeedback, GenCtx, Strategy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,14 +31,6 @@ pub enum ExecutionMode {
     /// re-established in full each iteration (a restore-to-base for
     /// snapshot-capable adaptors, a complete redeploy otherwise).
     FullReplay,
-    /// Clean-slate semantics via the snapshot-fork engine: restore the
-    /// deepest cached ancestor shared with the previous case and replay
-    /// only the divergent suffix — O(suffix) per iteration instead of
-    /// O(case), bit-identical to [`ExecutionMode::FullReplay`]. Mutated
-    /// children mostly share a long prefix with their parent, so the
-    /// savings compound. Degrades to exactly `FullReplay` behavior on
-    /// adaptors without [`crate::SnapshotCapable`].
-    Fork,
 }
 
 /// Campaign configuration.
@@ -244,39 +235,14 @@ enum Engine {
     /// iterations. `needs_reset` is false while the target is already at
     /// its initial state (campaign start, just after a confirm reset).
     Fallback { needs_reset: bool },
-    /// Clean-slate on a snapshot-capable adaptor. `chain` caches the
-    /// previous case's per-prefix marks; `fork` selects O(suffix) resume
-    /// (vs. always restoring the base). Restores rewind the target's raw
-    /// clock, so virtual time is accounted as `consumed + (raw - t0)`:
-    /// `t0` is the raw clock at the current lineage's base and `consumed`
-    /// banks each finished iteration's elapsed time before the next
-    /// restore rewinds it.
-    ///
-    /// Marks are adaptive: `miss_streak` counts consecutive iterations
-    /// whose shared prefix was empty, and once it passes
-    /// [`FORK_MISS_LIMIT`] the engine stops taking per-operation marks
-    /// (`mark_ops`) except on every [`FORK_PROBE_PERIOD`]th iteration.
-    /// Against a strategy that never revisits a prefix this degrades fork
-    /// to full replay plus a sliver of probing, instead of paying a mark
-    /// per operation for restores that never come; marks never influence
-    /// execution outcomes, so the policy cannot affect results.
-    Snap {
-        chain: PrefixChain,
-        consumed: u64,
-        t0: u64,
-        fork: bool,
-        miss_streak: u32,
-        mark_ops: bool,
-    },
+    /// Clean-slate on a snapshot-capable adaptor: `base` marks the initial
+    /// state and is restored before every iteration. Restores rewind the
+    /// target's raw clock, so virtual time is accounted as
+    /// `consumed + (raw - t0)`: `t0` is the raw clock at the current
+    /// base and `consumed` banks each finished iteration's elapsed time
+    /// before the next restore rewinds it.
+    Snap { base: u64, consumed: u64, t0: u64 },
 }
-
-/// Consecutive empty-prefix iterations after which the fork engine stops
-/// taking per-operation marks (see [`Engine::Snap`]).
-const FORK_MISS_LIMIT: u32 = 8;
-
-/// While marks are suspended, every Nth iteration still marks its case so
-/// prefix reuse can be rediscovered if the strategy starts producing it.
-const FORK_PROBE_PERIOD: u64 = 16;
 
 /// Virtual-time offset of an engine: `vtime(raw, off(e))` maps a raw
 /// target clock reading onto the campaign's monotone virtual axis.
@@ -293,14 +259,9 @@ fn vtime(raw: u64, (consumed, t0): (u64, u64)) -> u64 {
 
 /// Runs one campaign to completion under an explicit execution mode.
 ///
-/// The clean-slate modes ([`ExecutionMode::FullReplay`] and
-/// [`ExecutionMode::Fork`]) are bit-identical to each other on any
-/// adaptor: same iterations, operations, detections, confirmed failures
-/// and reproduction logs. `Fork` merely skips re-executing work whose
-/// outcome is already determined (the shared prefix), exploiting that
-/// every operation's outcome is a deterministic function of (base state,
-/// op prefix). Their results are reported on a virtual-time axis starting
-/// at 0, because snapshot restores rewind the target's raw clock.
+/// On a snapshot-capable adaptor, [`ExecutionMode::FullReplay`] reports
+/// its results on a virtual-time axis starting at 0, because snapshot
+/// restores rewind the target's raw clock.
 pub fn run_campaign_with_mode(
     strategy: &mut dyn Strategy,
     adaptor: &mut dyn DfsAdaptor,
@@ -321,12 +282,9 @@ pub fn run_campaign_with_mode(
         Engine::Accumulate
     } else if let Some(base) = adaptor.snapshots().map(|s| s.snapshot()) {
         Engine::Snap {
-            chain: PrefixChain::new(base),
+            base,
             consumed: 0,
             t0: adaptor.now_ms(),
-            fork: mode == ExecutionMode::Fork,
-            miss_streak: 0,
-            mark_ops: mode == ExecutionMode::Fork,
         }
     } else {
         Engine::Fallback { needs_reset: false }
@@ -391,82 +349,40 @@ pub fn run_campaign_with_mode(
             strategy.next_case(&mut ctx)
         };
 
-        // Position the target for this case and replay any cached prefix
-        // outcomes into the log.
-        let exec_from = match &mut engine {
-            Engine::Accumulate => 0,
+        // Position the target for this case.
+        match &mut engine {
+            Engine::Accumulate => {}
             Engine::Fallback { needs_reset } => {
                 if *needs_reset {
                     adaptor.reset();
                 }
-                0
             }
-            Engine::Snap {
-                chain,
-                consumed,
-                t0,
-                fork,
-                miss_streak,
-                mark_ops,
-            } => {
-                let k = if *fork { chain.lcp(&case.ops) } else { 0 };
-                if *fork {
-                    *miss_streak = if k > 0 {
-                        0
-                    } else {
-                        miss_streak.saturating_add(1)
-                    };
-                    *mark_ops = *miss_streak < FORK_MISS_LIMIT
-                        || result.iterations.is_multiple_of(FORK_PROBE_PERIOD);
-                }
-                if adaptor.snapshots().expect("capable").restore(chain.mark(k)) {
-                    chain.truncate(k);
-                    for (i, op) in case.ops[..k].iter().enumerate() {
-                        let (ok, raw_t) = chain.outcome(i);
-                        repro_log.push(LoggedOp {
-                            time_ms: *consumed + raw_t.saturating_sub(*t0),
-                            op: op.clone(),
-                            ok,
-                        });
-                        result.ops_sent += 1;
-                    }
-                    k
-                } else {
-                    // Defensive: the lineage was lost (cannot happen while
-                    // the engine owns all resets). Rebuild from a redeploy.
+            Engine::Snap { base, consumed, t0 } => {
+                if !adaptor.snapshots().expect("capable").restore(*base) {
+                    // Defensive: the base mark was lost (cannot happen
+                    // while the engine owns all resets). Rebuild from a
+                    // redeploy.
                     adaptor.reset();
                     let raw = adaptor.now_ms();
                     *consumed += raw.saturating_sub(*t0);
                     *t0 = raw;
-                    chain.rebase(adaptor.snapshots().expect("capable").snapshot());
-                    0
+                    *base = adaptor.snapshots().expect("capable").snapshot();
                 }
             }
-        };
+        }
 
-        // Execute the (rest of the) case; failed operations are normal
-        // fuzzing outcomes.
-        for op in &case.ops[exec_from..] {
+        // Execute the case; failed operations are normal fuzzing outcomes.
+        for op in &case.ops {
             let ok = adaptor.send(op).is_ok();
             if track_model && ok {
                 model.apply(op);
             }
-            let raw_t = adaptor.now_ms();
             repro_log.push(LoggedOp {
-                time_ms: vtime(raw_t, off(&engine)),
+                time_ms: vtime(adaptor.now_ms(), off(&engine)),
                 op: op.clone(),
                 ok,
             });
             result.ops_sent += 1;
-            if let Engine::Snap {
-                chain,
-                mark_ops: true,
-                ..
-            } = &mut engine
-            {
-                let mark = adaptor.snapshots().expect("capable").snapshot();
-                chain.push(op.clone(), ok, raw_t, mark);
-            }
         }
         if track_model {
             model.sync_topology(&adaptor.topology());
@@ -610,19 +526,14 @@ pub fn run_campaign_with_mode(
                 // The target is already at its initial state; skip the
                 // next iteration's redeploy.
                 Engine::Fallback { needs_reset } => *needs_reset = false,
-                Engine::Snap {
-                    chain,
-                    consumed,
-                    t0,
-                    ..
-                } => {
+                Engine::Snap { base, consumed, t0 } => {
                     // The reset killed every mark: bank the elapsed time
-                    // up to and including the reset, then re-root the
-                    // lineage on the fresh initial state.
+                    // up to and including the reset, then mark the fresh
+                    // initial state as the new base.
                     let raw = adaptor.now_ms();
                     *consumed += raw.saturating_sub(*t0);
                     *t0 = raw;
-                    chain.rebase(adaptor.snapshots().expect("capable").snapshot());
+                    *base = adaptor.snapshots().expect("capable").snapshot();
                 }
             }
         }
@@ -838,27 +749,6 @@ mod tests {
         let res = run_campaign(&mut strat, &mut adaptor, &cfg, &mut obs);
         assert_eq!(obs.0, res.confirmed.len() as u64);
         assert!(obs.0 >= 1);
-    }
-
-    #[test]
-    fn clean_slate_modes_are_identical_on_non_capable_adaptors() {
-        // FakeAdaptor has no snapshot capability, so both clean-slate
-        // modes must take the same full-redeploy fallback path and produce
-        // exactly the same result — including logged op times and
-        // confirmed failures.
-        let cfg = CampaignConfig {
-            budget_ms: 400_000,
-            ..Default::default()
-        };
-        let run = |mode: ExecutionMode| {
-            let mut strat = ThemisMinus;
-            let mut adaptor = FakeAdaptor::new(20);
-            run_campaign_with_mode(&mut strat, &mut adaptor, &cfg, &mut NullObserver, mode)
-        };
-        let full = run(ExecutionMode::FullReplay);
-        let fork = run(ExecutionMode::Fork);
-        assert_eq!(full, fork);
-        assert!(full.iterations > 0);
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use gen::{OpDraw, MAX_SEQ_LEN};
 pub use lvm::{VarianceScore, VarianceWeights};
 pub use model::InputModel;
 pub use report::{ConfirmedFailure, LoggedOp};
-pub use seedpool::{PrefixChain, SeedPool};
+pub use seedpool::SeedPool;
 pub use spec::{Operand, OperandKind, Operation, Operator, TestCase};
 pub use strategies::{
     by_name, Alternate, Concurrent, ExecFeedback, FixConf, FixReq, GenCtx, Strategy, ThemisMinus,

@@ -1,9 +1,7 @@
 //! The seed pool: interesting test cases kept for mutation (step 3/9 of
-//! the workflow in Figure 6), plus the parent-prefix snapshot chain the
-//! campaign's fork engine uses to resume mutated children from their
-//! deepest cached ancestor state.
+//! the workflow in Figure 6).
 
-use crate::spec::{Operation, TestCase};
+use crate::spec::TestCase;
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -93,89 +91,6 @@ impl SeedPool {
     }
 }
 
-/// The fork engine's parent-prefix snapshot cache.
-///
-/// Mark `k` is the target state after the first `k` operations of the
-/// previously executed case (`mark(0)` is the clean base state). Because
-/// mutation produces children sharing a prefix with their parent, the
-/// longest common prefix between the previous and the next case tells how
-/// deep the next case can resume without re-executing anything. Cached
-/// per-op outcomes (success + raw target time) let the campaign
-/// reconstruct the skipped prefix's log entries exactly.
-///
-/// The chain mirrors the target-side mark stack: truncating here must be
-/// paired with restoring the corresponding mark there.
-#[derive(Debug, Clone)]
-pub struct PrefixChain {
-    ops: Vec<Operation>,
-    /// Per-prefix-op outcome: (succeeded, raw target time after the op).
-    outcomes: Vec<(bool, u64)>,
-    /// `marks[k]` = snapshot id for the state after `k` ops; always one
-    /// longer than `ops`.
-    marks: Vec<u64>,
-}
-
-impl PrefixChain {
-    /// A chain rooted at the clean-state mark `base`.
-    pub fn new(base: u64) -> Self {
-        PrefixChain {
-            ops: Vec::new(),
-            outcomes: Vec::new(),
-            marks: vec![base],
-        }
-    }
-
-    /// Longest shared prefix between the cached lineage and `next`, capped
-    /// at the cached depth — the deepest state `next` can resume from.
-    pub fn lcp(&self, next: &[Operation]) -> usize {
-        self.ops
-            .iter()
-            .zip(next)
-            .take_while(|(a, b)| *a == *b)
-            .count()
-    }
-
-    /// The mark holding the state after `k` cached ops.
-    pub fn mark(&self, k: usize) -> u64 {
-        self.marks[k]
-    }
-
-    /// Cached outcome of prefix op `i`.
-    pub fn outcome(&self, i: usize) -> (bool, u64) {
-        self.outcomes[i]
-    }
-
-    /// Cached depth (ops with a saved post-state).
-    pub fn depth(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Drops cached state deeper than `k` ops — called after restoring
-    /// `mark(k)`, which invalidated those marks target-side.
-    pub fn truncate(&mut self, k: usize) {
-        self.ops.truncate(k);
-        self.outcomes.truncate(k);
-        self.marks.truncate(k + 1);
-    }
-
-    /// Extends the lineage: `op` was just executed (outcome `ok`, target
-    /// clock now `raw_time`) and `mark` holds the resulting state.
-    pub fn push(&mut self, op: Operation, ok: bool, raw_time: u64, mark: u64) {
-        self.ops.push(op);
-        self.outcomes.push((ok, raw_time));
-        self.marks.push(mark);
-    }
-
-    /// Re-roots the chain on a fresh base mark (after a target reset
-    /// killed the old lineage).
-    pub fn rebase(&mut self, base: u64) {
-        self.ops.clear();
-        self.outcomes.clear();
-        self.marks.clear();
-        self.marks.push(base);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,32 +163,5 @@ mod tests {
         p.push(case(1), 1.0);
         p.clear();
         assert!(p.is_empty());
-    }
-
-    #[test]
-    fn prefix_chain_tracks_lineage() {
-        let op = |t: u64| {
-            Operation::new(
-                Operator::Create,
-                vec![Operand::FileName(format!("/p{t}")), Operand::Size(t)],
-            )
-        };
-        let mut c = PrefixChain::new(100);
-        c.push(op(1), true, 10, 101);
-        c.push(op(2), false, 20, 102);
-        assert_eq!(c.depth(), 2);
-        assert_eq!(c.lcp(&[op(1), op(2), op(3)]), 2);
-        assert_eq!(c.lcp(&[op(1), op(9)]), 1);
-        assert_eq!(c.lcp(&[op(9)]), 0);
-        assert_eq!(c.mark(0), 100);
-        assert_eq!(c.mark(2), 102);
-        assert_eq!(c.outcome(1), (false, 20));
-        c.truncate(1);
-        assert_eq!(c.depth(), 1);
-        assert_eq!(c.mark(1), 101);
-        assert_eq!(c.lcp(&[op(1), op(2)]), 1, "truncated ops no longer match");
-        c.rebase(200);
-        assert_eq!(c.depth(), 0);
-        assert_eq!(c.mark(0), 200);
     }
 }

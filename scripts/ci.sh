@@ -57,13 +57,13 @@ if [[ "${1:-}" != "--no-bench" ]]; then
     # Capture the committed baseline throughput BEFORE the bench run
     # overwrites the artifact: the regression gate compares the fresh
     # number against it.
-    baseline=$(grep -o '"cached_iters_per_sec": *[0-9.]*' results/BENCH_1.json 2>/dev/null \
+    baseline=$(grep -o '"iters_per_sec": *[0-9.]*' results/BENCH_1.json 2>/dev/null \
         | grep -o '[0-9.]*$' || true)
 
-    # Bench smoke: the repro binary's perf mode times the cached-vs-baseline
-    # campaign hot path plus grid scaling and writes results/BENCH_1.json,
-    # then the snapshot-fork engine against full replay and the redeploy
-    # fallback into results/BENCH_2.json.
+    # Bench smoke: the repro binary's perf mode times the campaign hot
+    # path plus grid scaling and writes results/BENCH_1.json, then
+    # clean-slate full replay against the redeploy fallback into
+    # results/BENCH_2.json.
     run cargo run --release --offline -p bench --bin repro -- perf
     test -s results/BENCH_1.json
     check_schema results/BENCH_1.json 1
@@ -77,7 +77,7 @@ if [[ "${1:-}" != "--no-bench" ]]; then
     # Perf regression gate: fail if campaign throughput fell more than 30%
     # below the committed baseline (shared CI boxes are noisy; a >30% drop
     # is a real regression, not scheduling jitter).
-    fresh=$(grep -o '"cached_iters_per_sec": *[0-9.]*' results/BENCH_1.json \
+    fresh=$(grep -o '"iters_per_sec": *[0-9.]*' results/BENCH_1.json \
         | grep -o '[0-9.]*$')
     if [[ -n "$baseline" ]]; then
         awk -v f="$fresh" -v b="$baseline" 'BEGIN {
@@ -209,9 +209,9 @@ fi
 if [[ "${1:-}" == "--bench-scale100k" ]]; then
     # 100k-node topology artifact: variance-probe flatness at 10/10k/100k
     # nodes (with per-point bulk-load preload wall time), sampled-vs-full
-    # placement-quality differentials, serial-vs-batched request-loop
-    # amortization, and a batched 100k-node campaign run twice for a
-    # same-seed byte-identity check, into results/BENCH_6.json.
+    # placement-quality differentials, and a 100k-node campaign (failed
+    # operations counted by cause) run twice for a same-seed
+    # byte-identity check, into results/BENCH_6.json.
     run cargo run --release --offline -p bench --bin repro -- scale100k
     test -s results/BENCH_6.json
     check_schema results/BENCH_6.json 6
@@ -241,12 +241,12 @@ if [[ "${1:-}" == "--bench-scale100k" ]]; then
     fi
     echo "==> sampled placement gate OK: all pairs within 2*full_cv + 0.05"
 
-    # The batched 100k-node campaign must be same-seed byte-identical and
-    # pass the full state audit.
+    # The 100k-node campaign must be same-seed byte-identical and pass
+    # the full state audit.
     grep -q '"identical": true' results/BENCH_6.json \
-        || { echo "==> 100k-node batched campaign is not deterministic"; exit 1; }
+        || { echo "==> 100k-node campaign is not deterministic"; exit 1; }
     if grep -q 'false' <<<"$(grep -o '"audit_ok": [a-z]*' results/BENCH_6.json)"; then
-        echo "==> 100k-node batched campaign failed the state audit"; exit 1
+        echo "==> 100k-node campaign failed the state audit"; exit 1
     fi
     echo "==> scale100k gate OK"
 fi
