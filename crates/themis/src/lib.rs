@@ -57,8 +57,8 @@ pub use campaign::{
     CoveragePoint, ExecutionMode, NullObserver,
 };
 pub use crash::{
-    explore_bounded, explore_random, run_crash_campaign, CrashCampaignResult,
-    CrashExplorationReport, CrashExplorerConfig, CrashFinding,
+    enumerate_window, explore_bounded, explore_random, run_crash_campaign, CrashCampaignResult,
+    CrashExplorationReport, CrashExplorerConfig, CrashFinding, CrashWindow,
 };
 pub use detector::{Candidate, Detector, DetectorConfig, ImbalanceKind};
 pub use gen::{OpDraw, MAX_SEQ_LEN};
