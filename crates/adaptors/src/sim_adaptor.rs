@@ -121,12 +121,10 @@ impl SimAdaptor {
 
     /// Rewinds the wrapped simulator to its base mark — byte-identical to
     /// a fresh deploy — and clears the adaptor's own per-campaign client
-    /// state (command log; retry policy is left as configured). Returns
-    /// `false` if [`SimAdaptor::mark_base`] was never called.
+    /// state (command log; retry policy is left as configured). Always
+    /// returns `true`: deploy takes the base mark, so one always exists.
     pub fn restore_to_base(&mut self) -> bool {
-        if !self.sim.borrow_mut().restore_to_base() {
-            return false;
-        }
+        self.sim.borrow_mut().restore_to_base();
         self.op_log.clear();
         true
     }
@@ -702,12 +700,6 @@ mod tests {
         assert_eq!(reused.coverage(), fresh.coverage());
         assert_eq!(reused.inventory().files, fresh.inventory().files);
         assert_eq!(reused.free_space(), fresh.free_space());
-    }
-
-    #[test]
-    fn base_restore_without_mark_fails() {
-        let mut a = adaptor(Flavor::Hdfs);
-        assert!(!a.restore_to_base());
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::arena::{NodeArena, NodeHot, VolumeDirectory};
 use crate::error::{SimError, SimResult};
+use crate::journal::UndoJournal;
 use crate::loadstats::UtilTracker;
 use crate::node::{MgmtNode, StorageNode, Volume};
 use crate::placement::VolumeView;
@@ -35,17 +36,6 @@ pub struct FileMeta {
     /// DHT linkfile location: set when the file's data no longer lives at
     /// its hash location (GlusterFS semantics).
     pub linkfile_at: Option<VolumeId>,
-}
-
-/// Undo journal over the file map: one `(id, prior value)` record per
-/// mutated file, newest last. `None` means the file did not exist. The
-/// node/volume maps are small enough to checkpoint wholesale, so only
-/// `files` (the one collection that grows with workload size) is
-/// journaled. Disabled by default; the snapshot-fork engine enables it.
-#[derive(Debug, Clone, Default)]
-struct FilesJournal {
-    enabled: bool,
-    records: Vec<(crate::types::FileId, Option<FileMeta>)>,
 }
 
 /// A rewind point for the cluster: full clones of the small node/volume
@@ -95,7 +85,11 @@ pub struct Cluster {
     /// volume membership, capacities, online status). Fill-level changes do
     /// *not* bump it. Placement caches key off this counter.
     generation: u64,
-    journal: FilesJournal,
+    /// First-touch pre-images of file-map entries, keyed by file id (see
+    /// [`crate::journal`]). The node/volume maps are small enough to
+    /// checkpoint wholesale, so only `files`, the one collection that
+    /// grows with workload size, is journaled.
+    journal: UndoJournal<FileMeta>,
     /// Streaming per-node utilization statistics (Σx, Σx², min/max over
     /// quantized fills). Every mutation that can change a storage node's
     /// utilization or eligibility refreshes its entry, making the
@@ -297,22 +291,26 @@ impl Cluster {
 
     /// Records a file's pre-mutation state in the undo journal.
     fn note_file(&mut self, fid: crate::types::FileId) {
-        if self.journal.enabled {
-            self.journal
-                .records
-                .push((fid, self.files.get(&fid).cloned()));
-        }
+        let files = &self.files;
+        self.journal
+            .touch(fid.0 as usize, || files.get(&fid).cloned());
     }
 
-    /// Turns undo journaling on or off, dropping any recorded history.
-    pub(crate) fn set_journaling(&mut self, on: bool) {
-        self.journal.enabled = on;
-        self.journal.records.clear();
+    /// Number of undo records held (tests).
+    #[cfg(test)]
+    pub(crate) fn journal_len(&self) -> usize {
+        self.journal.len()
     }
 
-    /// Captures the state needed to rewind back to this point. Only valid
-    /// while journaling is enabled.
-    pub(crate) fn checkpoint(&self) -> ClusterCheckpoint {
+    /// Drops the undo history and switches journaling off until the next
+    /// checkpoint; every earlier checkpoint becomes invalid.
+    pub(crate) fn clear_journal(&mut self) {
+        self.journal.clear();
+    }
+
+    /// Captures the state needed to rewind back to this point, switching
+    /// journaling on if it was off.
+    pub(crate) fn checkpoint(&mut self) -> ClusterCheckpoint {
         debug_assert!(!self.bulk_load, "checkpoint during bulk load");
         ClusterCheckpoint {
             mgmt: self.mgmt.clone(),
@@ -321,19 +319,18 @@ impl Cluster {
             next_node: self.next_node,
             next_volume: self.next_volume,
             generation: self.generation,
-            files_mark: self.journal.records.len(),
+            files_mark: self.journal.mark(),
             util_stats: self.util_stats.clone(),
             online_storage_nodes: self.online_storage_nodes,
         }
     }
 
-    /// Rewinds to the state captured by `cp`: undoes journaled file-map
-    /// records newest-first and restores the wholesale-cloned node maps.
-    /// Checkpoints deeper than `cp` become invalid.
+    /// Rewinds to the state captured by `cp`: writes journaled file-map
+    /// pre-images back newest-first and restores the wholesale-cloned node
+    /// maps. Checkpoints deeper than `cp` become invalid.
     pub(crate) fn restore_to(&mut self, cp: &ClusterCheckpoint) {
-        debug_assert!(self.journal.enabled, "restore without journaling");
-        while self.journal.records.len() > cp.files_mark {
-            let (fid, old) = self.journal.records.pop().expect("mark <= len");
+        for (key, old) in self.journal.rewind(cp.files_mark) {
+            let fid = crate::types::FileId(key as u64);
             match old {
                 Some(meta) => {
                     self.files.insert(fid, meta);
@@ -457,9 +454,7 @@ impl Cluster {
             if !affected {
                 continue;
             }
-            if journal.enabled {
-                journal.records.push((*fid, Some(meta.clone())));
-            }
+            journal.touch(fid.0 as usize, || Some(meta.clone()));
             let mut i = 0;
             while i < meta.replicas.len() {
                 if vols.contains(&meta.replicas[i].volume) {
@@ -1411,7 +1406,6 @@ mod tests {
         let views = c.volume_views();
         let (a, b) = (views[0].volume, views[1].volume);
         c.store(FileId(1), a, 300).unwrap();
-        c.set_journaling(true);
         let cp = c.checkpoint();
         let gen0 = c.generation();
 
@@ -1441,7 +1435,6 @@ mod tests {
         c.store(FileId(1), views[0].volume, 100).unwrap();
         c.store(FileId(2), views[1].volume, 200).unwrap();
         c.file_mut(FileId(2)).unwrap().linkfile_at = Some(views[0].volume);
-        c.set_journaling(true);
         let cp = c.checkpoint();
 
         c.remove_storage(views[0].node).unwrap();
@@ -1459,7 +1452,6 @@ mod tests {
     fn checkpoints_nest_along_one_lineage() {
         let mut c = cluster_with(1, 1, 10_000);
         let v = c.volume_views()[0].volume;
-        c.set_journaling(true);
         let base = c.checkpoint();
         c.store(FileId(1), v, 10).unwrap();
         let mid = c.checkpoint();
@@ -1470,6 +1462,34 @@ mod tests {
         c.restore_to(&base);
         assert!(c.files.is_empty());
         assert_eq!(c.total_used(), 0);
+
+        // Three nested marks whose segments all re-touch file 1: each
+        // segment keeps its own first-touch pre-image, so restoring the
+        // innermost mark and then the outermost lands exactly on each.
+        c.store(FileId(1), v, 10).unwrap();
+        let outer = c.checkpoint();
+        c.rescale_file(FileId(1), 10, 20).unwrap();
+        let _middle = c.checkpoint();
+        c.rescale_file(FileId(1), 20, 30).unwrap();
+        c.store(FileId(2), v, 7).unwrap();
+        let inner = c.checkpoint();
+        c.rescale_file(FileId(1), 30, 60).unwrap();
+        c.free_file(FileId(2));
+        c.rescale_file(FileId(1), 60, 90).unwrap();
+        assert_eq!(
+            c.journal.len() - inner.files_mark,
+            2,
+            "one record per file touched since the mark"
+        );
+        c.restore_to(&inner);
+        assert_eq!(c.files[&FileId(1)].replicas[0].bytes, 30);
+        assert_eq!(c.files[&FileId(2)].replicas[0].bytes, 7);
+        assert_eq!(c.total_used(), 37);
+        c.restore_to(&outer);
+        assert_eq!(c.files[&FileId(1)].replicas[0].bytes, 10);
+        assert!(!c.files.contains_key(&FileId(2)));
+        assert_eq!(c.total_used(), 10);
+        c.audit().unwrap();
     }
 
     #[test]
@@ -1567,7 +1587,6 @@ mod tests {
         let mut c = cluster_with(2, 1, 10_000);
         let views = c.volume_views();
         c.store(FileId(1), views[0].volume, 300).unwrap();
-        c.set_journaling(true);
         let cp = c.checkpoint();
         let stats0 = c.util_stats().clone();
 

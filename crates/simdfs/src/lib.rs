@@ -43,6 +43,7 @@ pub mod error;
 pub mod faults;
 pub mod flavor;
 pub mod hashing;
+mod journal;
 pub mod loadstats;
 pub mod meanfield;
 pub mod metrics;

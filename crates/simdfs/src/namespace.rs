@@ -6,6 +6,7 @@
 //! `Tree_files`) to instantiate `FileName` operands.
 
 use crate::error::{SimError, SimResult};
+use crate::journal::UndoJournal;
 use crate::types::{Bytes, FileId};
 use std::collections::BTreeMap;
 
@@ -33,46 +34,9 @@ struct Entry {
     name: String,
 }
 
-/// One reversible namespace mutation, recorded while journaling is on.
-///
-/// Records are *semantic* undo entries: each one captures exactly the
-/// state a single field-level mutation destroyed, so rewinding is a
-/// reverse-order replay with no tree diffing. Deleted entries are moved
-/// (not cloned) into their `Slot` record, which makes journaling O(1) per
-/// operation regardless of directory fan-out.
-#[derive(Debug, Clone)]
-enum NsRecord {
-    /// `arena[idx]` held `old` before the mutation.
-    Slot { idx: usize, old: Option<Entry> },
-    /// `name` was inserted into `arena[parent].children`.
-    ChildAdd { parent: usize, name: String },
-    /// `name -> child` was removed from `arena[parent].children`.
-    ChildDel {
-        parent: usize,
-        name: String,
-        child: usize,
-    },
-    /// The file at `idx` had size `old`.
-    Size { idx: usize, old: Bytes },
-    /// The entry at `idx` hung under `parent` as `name`.
-    Reparent {
-        idx: usize,
-        parent: usize,
-        name: String,
-    },
-}
-
-/// The undo journal. Disabled (and empty) by default so the accumulate
-/// execution path pays nothing; the snapshot-fork engine enables it.
-#[derive(Debug, Clone, Default)]
-struct NsJournal {
-    enabled: bool,
-    records: Vec<NsRecord>,
-}
-
 /// A rewind point into the namespace undo journal: the journal mark plus
 /// the small scalar state (`free` list, counters) that is cheaper to
-/// checkpoint wholesale than to journal per-mutation.
+/// checkpoint wholesale than to journal per slot.
 #[derive(Debug, Clone)]
 pub(crate) struct NsCheckpoint {
     mark: usize,
@@ -95,7 +59,8 @@ pub struct Namespace {
     next_file: u64,
     file_count: usize,
     total_bytes: Bytes,
-    journal: NsJournal,
+    /// First-touch pre-images of arena slots (see [`crate::journal`]).
+    journal: UndoJournal<Entry>,
 }
 
 impl Default for Namespace {
@@ -121,21 +86,27 @@ impl Namespace {
             next_file: 1,
             file_count: 0,
             total_bytes: 0,
-            journal: NsJournal::default(),
+            journal: UndoJournal::default(),
         }
     }
 
-    /// Turns undo journaling on or off, dropping any recorded history.
-    pub(crate) fn set_journaling(&mut self, on: bool) {
-        self.journal.enabled = on;
-        self.journal.records.clear();
+    /// Number of undo records held (tests).
+    #[cfg(test)]
+    pub(crate) fn journal_len(&self) -> usize {
+        self.journal.len()
     }
 
-    /// Captures the state needed to rewind back to this point. Only valid
-    /// while journaling is enabled.
-    pub(crate) fn checkpoint(&self) -> NsCheckpoint {
+    /// Drops the undo history and switches journaling off until the next
+    /// checkpoint; every earlier checkpoint becomes invalid.
+    pub(crate) fn clear_journal(&mut self) {
+        self.journal.clear();
+    }
+
+    /// Captures the state needed to rewind back to this point, switching
+    /// journaling on if it was off.
+    pub(crate) fn checkpoint(&mut self) -> NsCheckpoint {
         NsCheckpoint {
-            mark: self.journal.records.len(),
+            mark: self.journal.mark(),
             arena_len: self.arena.len(),
             free: self.free.clone(),
             next_file: self.next_file,
@@ -144,32 +115,12 @@ impl Namespace {
         }
     }
 
-    /// Rewinds the namespace to the state captured by `cp`, undoing
-    /// journaled mutations newest-first. Checkpoints deeper than `cp`
-    /// become invalid (their journal marks no longer exist).
+    /// Rewinds the namespace to the state captured by `cp`, writing back
+    /// journaled slot pre-images newest-first. Checkpoints deeper than
+    /// `cp` become invalid (their journal marks no longer exist).
     pub(crate) fn revert_to(&mut self, cp: &NsCheckpoint) {
-        debug_assert!(self.journal.enabled, "revert without journaling");
-        while self.journal.records.len() > cp.mark {
-            let rec = self.journal.records.pop().expect("mark <= len");
-            match rec {
-                NsRecord::Slot { idx, old } => self.arena[idx] = old,
-                NsRecord::ChildAdd { parent, name } => {
-                    self.entry_mut(parent).children.remove(&name);
-                }
-                NsRecord::ChildDel {
-                    parent,
-                    name,
-                    child,
-                } => {
-                    self.entry_mut(parent).children.insert(name, child);
-                }
-                NsRecord::Size { idx, old } => self.entry_mut(idx).size = old,
-                NsRecord::Reparent { idx, parent, name } => {
-                    let e = self.entry_mut(idx);
-                    e.parent = parent;
-                    e.name = name;
-                }
-            }
+        for (idx, old) in self.journal.rewind(cp.mark) {
+            self.arena[idx] = old;
         }
         self.arena.truncate(cp.arena_len);
         self.free.clone_from(&cp.free);
@@ -196,23 +147,27 @@ impl Namespace {
         self.arena[idx].as_ref().expect("dangling namespace index")
     }
 
+    /// Mutable access to an arena slot, journaling its pre-image on the
+    /// slot's first touch since the newest checkpoint. Every namespace
+    /// mutation goes through here.
+    fn slot_mut(&mut self, idx: usize) -> &mut Option<Entry> {
+        let arena = &self.arena;
+        self.journal.touch(idx, || arena[idx].clone());
+        &mut self.arena[idx]
+    }
+
     fn entry_mut(&mut self, idx: usize) -> &mut Entry {
-        self.arena[idx].as_mut().expect("dangling namespace index")
+        self.slot_mut(idx)
+            .as_mut()
+            .expect("dangling namespace index")
     }
 
     fn alloc(&mut self, e: Entry) -> usize {
-        let idx = if let Some(idx) = self.free.pop() {
-            self.arena[idx] = Some(e);
-            idx
-        } else {
-            self.arena.push(Some(e));
+        let idx = self.free.pop().unwrap_or_else(|| {
+            self.arena.push(None);
             self.arena.len() - 1
-        };
-        if self.journal.enabled {
-            // The slot was empty before (freshly pushed or off the free
-            // list), so the undo value is always `None`.
-            self.journal.records.push(NsRecord::Slot { idx, old: None });
-        }
+        });
+        *self.slot_mut(idx) = Some(e);
         idx
     }
 
@@ -256,12 +211,6 @@ impl Namespace {
             name: name.to_string(),
         };
         let idx = self.alloc(e);
-        if self.journal.enabled {
-            self.journal.records.push(NsRecord::ChildAdd {
-                parent,
-                name: name.to_string(),
-            });
-        }
         self.entry_mut(parent)
             .children
             .insert(name.to_string(), idx);
@@ -286,17 +235,7 @@ impl Namespace {
         let parent = entry.parent;
         let name = entry.name.clone();
         self.entry_mut(parent).children.remove(&name);
-        if self.journal.enabled {
-            self.journal.records.push(NsRecord::ChildDel {
-                parent,
-                name,
-                child: idx,
-            });
-            let old = self.arena[idx].take();
-            self.journal.records.push(NsRecord::Slot { idx, old });
-        } else {
-            self.arena[idx] = None;
-        }
+        *self.slot_mut(idx) = None;
         self.free.push(idx);
         Ok(())
     }
@@ -318,12 +257,6 @@ impl Namespace {
             name: name.to_string(),
         };
         let idx = self.alloc(e);
-        if self.journal.enabled {
-            self.journal.records.push(NsRecord::ChildAdd {
-                parent,
-                name: name.to_string(),
-            });
-        }
         self.entry_mut(parent)
             .children
             .insert(name.to_string(), idx);
@@ -346,17 +279,7 @@ impl Namespace {
         let parent = entry.parent;
         let name = entry.name.clone();
         self.entry_mut(parent).children.remove(&name);
-        if self.journal.enabled {
-            self.journal.records.push(NsRecord::ChildDel {
-                parent,
-                name,
-                child: idx,
-            });
-            let old = self.arena[idx].take();
-            self.journal.records.push(NsRecord::Slot { idx, old });
-        } else {
-            self.arena[idx] = None;
-        }
+        *self.slot_mut(idx) = None;
         self.free.push(idx);
         self.file_count -= 1;
         self.total_bytes -= size;
@@ -377,9 +300,6 @@ impl Namespace {
         }
         let old = entry.size;
         let id = entry.file.expect("file entry without id");
-        if self.journal.enabled {
-            self.journal.records.push(NsRecord::Size { idx, old });
-        }
         self.entry_mut(idx).size = new_size;
         self.total_bytes = self.total_bytes - old + new_size;
         Ok((id, old))
@@ -428,22 +348,6 @@ impl Namespace {
         let old_parent = self.entry(idx).parent;
         let old_name = self.entry(idx).name.clone();
         self.entry_mut(old_parent).children.remove(&old_name);
-        if self.journal.enabled {
-            self.journal.records.push(NsRecord::ChildDel {
-                parent: old_parent,
-                name: old_name.clone(),
-                child: idx,
-            });
-            self.journal.records.push(NsRecord::ChildAdd {
-                parent: new_parent,
-                name: new_name.to_string(),
-            });
-            self.journal.records.push(NsRecord::Reparent {
-                idx,
-                parent: old_parent,
-                name: old_name,
-            });
-        }
         self.entry_mut(new_parent)
             .children
             .insert(new_name.to_string(), idx);
@@ -679,7 +583,6 @@ mod tests {
         let mut ns = Namespace::new();
         ns.mkdir("/d").unwrap();
         ns.create("/d/a", 10).unwrap();
-        ns.set_journaling(true);
         let cp = ns.checkpoint();
         let before = snapshot_of(&ns);
 
@@ -702,7 +605,6 @@ mod tests {
     #[test]
     fn journal_checkpoints_nest_and_replay_identically() {
         let mut ns = Namespace::new();
-        ns.set_journaling(true);
         let base = ns.checkpoint();
         ns.create("/a", 1).unwrap();
         let mid = ns.checkpoint();
@@ -720,17 +622,47 @@ mod tests {
         assert_eq!(ns.file_count(), 0);
         ns.create("/a", 1).unwrap();
         assert_eq!(snapshot_of(&ns), mid_state);
+
+        // Three nested marks whose segments all re-touch the same keys
+        // (the root directory and `/a`'s slot): each segment keeps its own
+        // first-touch pre-image, so restoring the innermost mark and then
+        // the outermost lands exactly on each mark's state.
+        let outer = ns.checkpoint();
+        let outer_state = snapshot_of(&ns);
+        ns.resize("/a", 2).unwrap();
+        ns.create("/x", 1).unwrap();
+        let _middle = ns.checkpoint();
+        ns.resize("/a", 3).unwrap();
+        ns.rename("/x", "/y").unwrap();
+        let inner = ns.checkpoint();
+        let inner_state = snapshot_of(&ns);
+        ns.resize("/a", 4).unwrap();
+        ns.delete("/y").unwrap();
+        ns.resize("/a", 5).unwrap();
+        assert_eq!(
+            ns.journal.len() - inner.mark,
+            3,
+            "one record per key touched since the mark: `/a`, `/y` and the root"
+        );
+        ns.revert_to(&inner);
+        assert_eq!(snapshot_of(&ns), inner_state);
+        assert_eq!(ns.open("/a").unwrap().1, 3);
+        ns.revert_to(&outer);
+        assert_eq!(snapshot_of(&ns), outer_state);
+        assert_eq!(ns.open("/a").unwrap().1, 1);
     }
 
     #[test]
     fn disabling_journal_clears_history() {
         let mut ns = Namespace::new();
-        ns.set_journaling(true);
         ns.create("/a", 1).unwrap();
-        assert!(!ns.journal.records.is_empty());
-        ns.set_journaling(false);
-        assert!(ns.journal.records.is_empty());
+        assert_eq!(ns.journal.len(), 0, "off until the first checkpoint");
+        ns.checkpoint();
         ns.create("/b", 1).unwrap();
-        assert!(ns.journal.records.is_empty());
+        assert!(ns.journal.len() > 0);
+        ns.clear_journal();
+        assert_eq!(ns.journal.len(), 0);
+        ns.create("/c", 1).unwrap();
+        assert_eq!(ns.journal.len(), 0, "off again until the next checkpoint");
     }
 }

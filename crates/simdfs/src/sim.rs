@@ -129,20 +129,19 @@ pub struct DfsSim {
     faults: FaultInjector,
     stats: SimStats,
     last_variance: (f64, f64, f64),
-    /// Snapshot of the freshly built namespace + cluster (topology and
-    /// `/sys` preload), cloned back on [`DfsSim::reset`] instead of
-    /// replaying the whole deploy-time ingest.
-    pristine: Option<Box<(Namespace, Cluster)>>,
-    /// Live fork marks, oldest first (see [`DfsSim::fork`]). Marks form a
-    /// stack along one execution lineage: restoring one invalidates every
-    /// deeper mark.
-    snapshots: Vec<SimSnapshot>,
-    /// Monotonic id source for fork marks (never reused, so a stale id
-    /// from before a reset can never alias a live mark).
-    next_snapshot_id: u64,
-    /// Post-deploy base state for cross-campaign simulator reuse (see
-    /// [`DfsSim::mark_base`]). Unlike fork marks it survives resets.
-    base: Option<Box<BaseMark>>,
+    /// Rewind marks, oldest first. `marks[0]` is mark 0, the deployed
+    /// state that [`DfsSim::reset`] and [`DfsSim::restore_to_base`] return
+    /// to; it is never released. The rest are fork marks (see
+    /// [`DfsSim::fork`]) along one execution lineage: restoring one
+    /// invalidates every deeper mark.
+    marks: Vec<SimSnapshot>,
+    /// Monotonic id source for marks (never reused, so a stale id from
+    /// before a reset can never alias a live mark).
+    next_mark_id: u64,
+    /// Coverage at mark 0, which marks themselves leave out (see
+    /// [`SimSnapshot`]): coverage is monotone within one campaign but
+    /// rewinds between campaigns.
+    base_coverage: CoverageModel,
     /// Crash-point instrumentation over the migration pipeline (see
     /// [`crate::crash`]); disarmed and inert on the normal hot path.
     crash: CrashRuntime,
@@ -154,30 +153,15 @@ pub struct DfsSim {
     runtime_audit: bool,
 }
 
-/// What [`DfsSim::restore_to_base`] needs beyond the pristine
-/// namespace/cluster clone: the state a reset does *not* re-establish.
-/// The coverage model is monotone within one campaign (which is why fork
-/// marks skip it) but must rewind between campaigns; the clock and the
-/// cumulative stats likewise outlive resets but not a fresh deploy.
-#[derive(Debug)]
-struct BaseMark {
-    clock: SimClock,
-    coverage: CoverageModel,
-    stats: SimStats,
-    check_timer: Option<PeriodicTimer>,
-    migrate_timer: PeriodicTimer,
-}
-
-/// One saved execution point of the snapshot-fork engine.
+/// One rewind mark.
 ///
 /// The two big collections (namespace arena, physical file map) are
-/// captured as *journal checkpoints* — undo records accumulate in their
-/// owners and rewinding replays them backwards — while everything small
-/// (clock, balancer, bug runtimes, fault state, timers) is cloned
-/// outright. Coverage is deliberately absent: it is a monotone set of
-/// idempotent insertions over deterministic re-execution, so rewinding
-/// state and replaying a prefix can only re-insert branches already
-/// present.
+/// captured as positions in their first-touch undo journals (see
+/// [`crate::journal`]), while everything small (clock, balancer, bug
+/// runtimes, fault state, timers) is cloned outright. Coverage is
+/// deliberately absent: it is a monotone set of idempotent insertions
+/// over deterministic re-execution, so rewinding state and replaying a
+/// prefix can only re-insert branches already present.
 #[derive(Debug)]
 struct SimSnapshot {
     id: u64,
@@ -241,17 +225,18 @@ impl DfsSim {
             faults: FaultInjector::default(),
             stats: SimStats::default(),
             last_variance: (1.0, 1.0, 1.0),
-            pristine: None,
-            snapshots: Vec::new(),
-            next_snapshot_id: 0,
-            base: None,
+            marks: Vec::new(),
+            next_mark_id: 0,
+            base_coverage: CoverageModel::new(cfg.coverage),
             crash: CrashRuntime::default(),
             runtime_audit: cfg!(debug_assertions),
             cfg,
             bug_set,
         };
         sim.build_topology();
-        sim.pristine = Some(Box::new((sim.ns.clone(), sim.cluster.clone())));
+        // Mark 0 closes the deploy: the `/sys` preload before it is not
+        // journaled, everything after it is.
+        sim.mark_base();
         sim
     }
 
@@ -2144,50 +2129,39 @@ impl DfsSim {
         nodes.sort_by_key(|n| n.node);
     }
 
-    /// Resets the DFS to its initial state: fresh namespace and topology,
-    /// re-armed bugs, cleared caches. Coverage and cumulative statistics
-    /// survive (as they do across DFS restarts in the paper's campaigns),
-    /// and the virtual clock keeps running.
-    // detlint:allow(crash-decomposition): reset tears down the execution lineage wholesale; no machine observes intermediate state, so it is not a crash window
+    /// Resets the DFS to its deployed state: mark 0's namespace and
+    /// topology, re-armed bugs, cleared caches, and no fork marks.
+    /// Coverage and cumulative statistics survive (as they do across DFS
+    /// restarts in the paper's campaigns), the virtual clock keeps
+    /// running, and the fault injector carries on, so machine damage
+    /// outlives the redeploy.
     pub fn reset(&mut self) {
-        // A reset abandons the current execution lineage, so every fork
-        // mark taken on it dies with it. (The pristine clone below also
-        // overwrites the journals with empty, disabled ones.)
-        self.snapshots.clear();
-        self.ns.set_journaling(false);
-        self.cluster.set_journaling(false);
-        // Rebuilding the topology replays the deploy-time ingest
-        // (thousands of `/sys` files); cloning the pristine snapshot
-        // restores the identical state in one pass.
-        match self.pristine.take() {
-            Some(p) => {
-                self.ns.clone_from(&p.0);
-                self.cluster.clone_from(&p.1);
-                self.pristine = Some(p);
-            }
-            None => {
-                self.ns = Namespace::new();
-                self.cluster = Cluster::new();
-                self.build_topology();
-            }
+        let clock = self.clock.clone();
+        let stats = self.stats;
+        let faults = std::mem::take(&mut self.faults);
+        self.rewind(0);
+        self.clock = clock;
+        self.stats = stats;
+        self.faults = faults;
+        self.apply_machine_damage();
+        let now = self.clock.now();
+        if let Some(t) = self.check_timer.as_mut() {
+            t.reset(now);
         }
-        // The restored cluster's generation counter restarts at its initial
-        // value, so the tag-based freshness check would wrongly accept
-        // stale rings.
-        self.placement_cache.invalidate();
-        self.balancer = Balancer::new(self.cfg.balance_threshold);
-        self.bugs.rearm();
-        self.hash_cache.clear();
-        self.crashed.clear();
-        // Crash-point instrumentation is tester-side probe state, not DFS
-        // state; a redeploy disarms it.
-        self.crash = CrashRuntime::default();
-        // Environment faults outlive a redeploy: the fault plan models the
-        // hosting environment, not DFS process state. Fault-crashed hosts
-        // stay down and forced-full disks stay full; slow-node, partition
-        // and loss state lives in the injector and persists on its own.
-        // Faults attached to nodes that only existed post-deploy are
-        // re-targeted onto the restored pool (same machines, fresh ids).
+        self.migrate_timer.reset(now);
+        self.stats.resets += 1;
+        // Resetting costs real wall time on a cluster (container restarts);
+        // charge one minute of virtual time.
+        self.clock.advance(60_000);
+    }
+
+    /// Re-applies the damage a redeploy cannot repair because it lives in
+    /// the machines, not in DFS process state: fault-crashed hosts stay
+    /// down and forced-full disks stay full. Slow-node, partition and loss
+    /// state lives in the injector and persists on its own. Faults
+    /// attached to nodes that only existed after deploy are re-targeted
+    /// onto the restored pool (same machines, fresh ids).
+    fn apply_machine_damage(&mut self) {
         if self.faults.any() {
             let mgmt: Vec<NodeId> = self.cluster.mgmt.keys().copied().collect();
             let storage: Vec<NodeId> = self.cluster.storage.keys().copied().collect();
@@ -2200,38 +2174,13 @@ impl DfsSim {
         for id in self.faults.disk_full().to_vec() {
             self.cluster.set_volumes_full(id);
         }
-        self.prev_kind = None;
-        self.prev2_kind = None;
-        self.rr_counter = 0;
-        self.last_variance = (1.0, 1.0, 1.0);
-        let now = self.clock.now();
-        if let Some(t) = self.check_timer.as_mut() {
-            t.reset(now);
-        }
-        self.migrate_timer.reset(now);
-        self.stats.resets += 1;
-        // Resetting costs real wall time on a cluster (container restarts);
-        // charge one minute of virtual time.
-        self.clock.advance(60_000);
     }
 
-    /// Marks the current execution point so it can be returned to with
-    /// [`DfsSim::restore`]. Returns an id that stays valid until the mark
-    /// is restored past, [`DfsSim::release`]d, or the sim is reset.
-    ///
-    /// The first fork switches the namespace and cluster into journaling
-    /// mode; from then on every mutation appends an undo record, which is
-    /// what makes restores O(ops since the mark) instead of O(state).
-    /// Marks form a stack along one lineage: restoring mark `a` kills
-    /// every mark taken after `a`.
-    pub fn fork(&mut self) -> u64 {
-        if self.snapshots.is_empty() {
-            self.ns.set_journaling(true);
-            self.cluster.set_journaling(true);
-        }
-        let id = self.next_snapshot_id;
-        self.next_snapshot_id += 1;
-        self.snapshots.push(SimSnapshot {
+    /// Captures the current execution point as a new mark.
+    fn take_mark(&mut self) -> SimSnapshot {
+        let id = self.next_mark_id;
+        self.next_mark_id += 1;
+        SimSnapshot {
             id,
             clock: self.clock.clone(),
             ns: self.ns.checkpoint(),
@@ -2249,7 +2198,22 @@ impl DfsSim {
             check_timer: self.check_timer.clone(),
             migrate_timer: self.migrate_timer.clone(),
             crash: self.crash.clone(),
-        });
+        }
+    }
+
+    /// Marks the current execution point so it can be returned to with
+    /// [`DfsSim::restore`]. Returns an id that stays valid until the mark
+    /// is restored past, [`DfsSim::release`]d, or the sim is reset.
+    ///
+    /// A mark costs a clone of the small state plus a position in the
+    /// undo journals, which run from deploy on; a restore then costs
+    /// O(keys touched since the mark), not O(state). Marks form a stack
+    /// along one lineage: restoring mark `a` kills every mark taken after
+    /// `a`.
+    pub fn fork(&mut self) -> u64 {
+        let mark = self.take_mark();
+        let id = mark.id;
+        self.marks.push(mark);
         id
     }
 
@@ -2257,23 +2221,37 @@ impl DfsSim {
     /// `false` (leaving the sim untouched) if the mark no longer exists —
     /// restored past, released, or invalidated by a reset.
     ///
+    /// Coverage intentionally survives: it is monotone over deterministic
+    /// replay, so the combined fork/restore walk observes exactly the
+    /// branch set a straight-line run of the same cases would.
+    pub fn restore(&mut self, id: u64) -> bool {
+        let Some(pos) = self.fork_position(id) else {
+            return false;
+        };
+        self.rewind(pos);
+        true
+    }
+
+    /// Position of the live fork mark `id` in `marks` (never mark 0).
+    fn fork_position(&self, id: u64) -> Option<usize> {
+        self.marks
+            .iter()
+            .rposition(|m| m.id == id)
+            .filter(|&pos| pos > 0)
+    }
+
+    /// Rewinds everything but coverage to `marks[pos]` and drops every
+    /// deeper mark.
+    ///
     /// Everything flows backwards: the namespace and file-map journals are
     /// unwound to the mark, the small cloned state (clock, balancer, bug
     /// runtimes, fault state, timers) is copied back, and placement rings
     /// built for generations newer than the mark are dropped — a divergent
     /// suffix re-uses those generation numbers for different topologies,
     /// so only strictly-older entries are provably shared lineage.
-    /// Coverage intentionally survives: it is monotone over deterministic
-    /// replay, so the combined fork/restore walk observes exactly the
-    /// branch set a straight-line run of the same cases would.
-    pub fn restore(&mut self, id: u64) -> bool {
-        let Some(pos) = self.snapshots.iter().position(|s| s.id == id) else {
-            return false;
-        };
-        // Marks deeper than the restored one point past the journal
-        // rewind target; they are unreachable now.
-        self.snapshots.truncate(pos + 1);
-        let snap = &self.snapshots[pos];
+    fn rewind(&mut self, pos: usize) {
+        self.marks.truncate(pos + 1);
+        let snap = &self.marks[pos];
         self.ns.revert_to(&snap.ns);
         self.cluster.restore_to(&snap.cluster);
         self.clock = snap.clock.clone();
@@ -2292,19 +2270,21 @@ impl DfsSim {
         self.crash.clone_from(&snap.crash);
         self.placement_cache
             .invalidate_if_newer_than(snap.cluster.generation());
-        // Guard the undo log: a restore must land on exactly the state the
+        // Guard the undo log: a rewind must land on exactly the state the
         // incremental counters claim, re-deriving the accounting from first
         // principles (file table, volume ownership, load-counter sanity)
         // and aborting on drift rather than letting a corrupted baseline
-        // silently skew every forked campaign that follows. Debug builds
-        // always run it; release builds opt in through
+        // silently skew every campaign that follows. Debug builds always
+        // run it; release builds opt in through
         // [`DfsSim::set_runtime_audit`] (the crash explorer does).
         if self.runtime_audit {
             if let Err(e) = self.audit_state() {
-                panic!("state audit failed after restore({id}): {e}");
+                panic!(
+                    "state audit failed after rewinding to mark {}: {e}",
+                    snap.id
+                );
             }
         }
-        true
     }
 
     /// First-principles consistency audit of the simulator state.
@@ -2318,8 +2298,8 @@ impl DfsSim {
     /// a journal-rewind bug shows up here as a stale `last` stamp ahead of
     /// the restored clock or as a NaN/negative accumulator.
     ///
-    /// Debug builds invoke this automatically after every snapshot restore;
-    /// it is also available to tests and tooling in any build.
+    /// Debug builds invoke this automatically after every rewind; it is
+    /// also available to tests and tooling in any build.
     pub fn audit_state(&self) -> Result<(), String> {
         self.cluster.audit()?;
         let now = self.clock.now();
@@ -2357,111 +2337,59 @@ impl DfsSim {
         Ok(())
     }
 
-    /// Drops a fork mark without restoring it. Releasing the last live
-    /// mark turns journaling back off, so a sim that stops forking stops
-    /// paying for undo records.
+    /// Drops a fork mark without restoring it. Mark 0 cannot be released.
     pub fn release(&mut self, id: u64) {
-        self.snapshots.retain(|s| s.id != id);
-        if self.snapshots.is_empty() {
-            self.ns.set_journaling(false);
-            self.cluster.set_journaling(false);
+        if let Some(pos) = self.fork_position(id) {
+            self.marks.remove(pos);
         }
     }
 
-    /// Number of live fork marks (diagnostics / tests).
+    /// Number of live fork marks, not counting mark 0 (diagnostics /
+    /// tests).
     pub fn fork_count(&self) -> usize {
-        self.snapshots.len()
+        self.marks.len() - 1
     }
 
-    /// Marks the current state as the reusable *base* for cross-campaign
-    /// simulator reuse: [`DfsSim::restore_to_base`] later rewinds to
+    /// Takes mark 0 again at the current state, dropping every other mark
+    /// and all undo history: [`DfsSim::restore_to_base`] later rewinds to
     /// exactly this point, no matter what ran in between — including
-    /// resets, which kill every ordinary fork mark.
+    /// resets, which kill every fork mark.
     ///
-    /// Must be called while the simulator is at a freshly deployed (or
-    /// freshly reset) state with no fault plan installed and no live fork
-    /// marks: the base restore re-establishes the namespace and cluster
-    /// from the pristine deploy snapshot, so marking a dirtied state would
-    /// record a clock/coverage point that no longer matches it.
+    /// Deploy takes mark 0 itself. Call this only at a freshly deployed
+    /// (or freshly reset) state with no fault plan installed and no live
+    /// fork marks: [`DfsSim::reset`] rewinds to mark 0 too, so marking a
+    /// dirtied state would change what a reset restores.
     ///
     /// This is the entry point behind the grid executor's per-worker
     /// simulator pool: deploy once per (worker, flavor), restore to base
     /// between campaign cells instead of rebuilding the topology.
     pub fn mark_base(&mut self) {
         debug_assert!(
-            self.snapshots.is_empty(),
+            self.marks.len() <= 1,
             "mark_base on a sim with live fork marks"
         );
         debug_assert!(!self.faults.any(), "mark_base with a fault plan installed");
-        self.base = Some(Box::new(BaseMark {
-            clock: self.clock.clone(),
-            coverage: self.coverage.clone(),
-            stats: self.stats,
-            check_timer: self.check_timer.clone(),
-            migrate_timer: self.migrate_timer.clone(),
-        }));
+        self.marks.clear();
+        self.ns.clear_journal();
+        self.cluster.clear_journal();
+        let base = self.take_mark();
+        self.marks.push(base);
+        self.base_coverage.clone_from(&self.coverage);
     }
 
-    /// Whether [`DfsSim::mark_base`] has been called.
-    pub fn has_base(&self) -> bool {
-        self.base.is_some()
-    }
-
-    /// Rewinds the simulator to the state captured by
-    /// [`DfsSim::mark_base`], byte-for-byte equivalent to a fresh deploy:
-    /// pristine namespace/cluster, rearmed bugs, empty fault plan, base
-    /// clock, base coverage and base statistics. Every live fork mark
-    /// dies (the restored lineage is a new one). Returns `false` (leaving
-    /// the sim untouched) if no base was ever marked.
+    /// Rewinds the simulator to mark 0 (see [`DfsSim::mark_base`]),
+    /// byte-for-byte equivalent to a fresh deploy: deployed
+    /// namespace/cluster, rearmed bugs, empty fault plan, base clock, base
+    /// coverage and base statistics. Every live fork mark dies (the
+    /// restored lineage is a new one).
     ///
     /// Unlike [`DfsSim::reset`] — which models an operator redeploying a
     /// live cluster (faults persist, the clock keeps running, coverage
     /// accumulates) — this models *reusing the process for an unrelated
     /// campaign*, so everything observable rewinds.
-    pub fn restore_to_base(&mut self) -> bool {
-        let Some(base) = self.base.take() else {
-            return false;
-        };
-        self.snapshots.clear();
-        self.ns.set_journaling(false);
-        self.cluster.set_journaling(false);
-        match self.pristine.take() {
-            Some(p) => {
-                self.ns.clone_from(&p.0);
-                self.cluster.clone_from(&p.1);
-                self.pristine = Some(p);
-            }
-            None => {
-                self.ns = Namespace::new();
-                self.cluster = Cluster::new();
-                self.build_topology();
-            }
-        }
-        self.placement_cache.invalidate();
-        self.balancer = Balancer::new(self.cfg.balance_threshold);
-        self.bugs.rearm();
-        self.hash_cache.clear();
-        self.crashed.clear();
-        self.faults = FaultInjector::default();
-        self.prev_kind = None;
-        self.prev2_kind = None;
-        self.rr_counter = 0;
-        self.last_variance = (1.0, 1.0, 1.0);
-        self.clock = base.clock.clone();
-        self.coverage.clone_from(&base.coverage);
-        self.stats = base.stats;
-        self.check_timer.clone_from(&base.check_timer);
-        self.migrate_timer.clone_from(&base.migrate_timer);
-        self.base = Some(base);
-        self.crash = CrashRuntime::default();
-        // Same guard as a fork restore: the base must land on exactly the
-        // state the incremental counters claim.
-        if self.runtime_audit {
-            if let Err(e) = self.audit_state() {
-                panic!("state audit failed after restore_to_base: {e}");
-            }
-        }
-        true
+    pub fn restore_to_base(&mut self) {
+        self.rewind(0);
+        self.coverage.clone_from(&self.base_coverage);
     }
 
     /// The bug set this simulator was built with.
@@ -3253,15 +3181,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_to_base_without_mark_is_a_noop() {
-        let mut s = sim(Flavor::Hdfs);
-        let before = fingerprint(&s);
-        assert!(!s.has_base());
-        assert!(!s.restore_to_base());
-        assert_eq!(fingerprint(&s), before);
-    }
-
-    #[test]
     fn restore_to_base_matches_a_fresh_deploy() {
         // A reused sim, rewound to base, must be indistinguishable from a
         // brand-new one running the same workload — including coverage,
@@ -3270,7 +3189,7 @@ mod tests {
         reused.mark_base();
         churn(&mut reused, 0);
         assert!(reused.coverage_count() > 0, "churn must produce coverage");
-        assert!(reused.restore_to_base());
+        reused.restore_to_base();
 
         let mut fresh = DfsSim::new(Flavor::GlusterFs, BugSet::All);
         assert_eq!(fingerprint(&reused), fingerprint(&fresh));
@@ -3297,13 +3216,12 @@ mod tests {
         s.reset(); // kills `mark`, keeps the base
         assert!(!s.restore(mark));
         churn(&mut s, 2);
-        assert!(s.restore_to_base(), "base must outlive resets");
-        assert_eq!(fingerprint(&s), base);
+        s.restore_to_base();
+        assert_eq!(fingerprint(&s), base, "base must outlive resets");
         assert_eq!(s.fork_count(), 0);
-        assert!(s.has_base(), "base stays marked for the next cell");
         // And again: the base is reusable indefinitely.
         churn(&mut s, 3);
-        assert!(s.restore_to_base());
+        s.restore_to_base();
         assert_eq!(fingerprint(&s), base);
     }
 
@@ -3316,12 +3234,273 @@ mod tests {
             FaultKind::CrashStorage { index: 0 },
         )]));
         churn(&mut s, 0);
-        assert!(s.restore_to_base());
+        s.restore_to_base();
         assert!(
             !s.fault_injector().any(),
             "base restore must drop the per-cell fault plan"
         );
         assert!(s.crashed_nodes().is_empty());
+    }
+
+    #[test]
+    fn journal_records_each_touched_key_once() {
+        let mut s = sim(Flavor::Hdfs);
+        s.execute(&DfsRequest::Create {
+            path: "/f".into(),
+            size: 8 * MIB,
+        })
+        .unwrap();
+        s.mark_base();
+        for i in 0..1_000 {
+            s.execute(&DfsRequest::Overwrite {
+                path: "/f".into(),
+                size: (1 + i % 8) * MIB,
+            })
+            .unwrap();
+        }
+        assert_eq!(s.cluster.journal_len(), 1, "one file-map record");
+        assert_eq!(s.ns.journal_len(), 1, "one namespace record");
+    }
+
+    // ------------------------------------------------------------------
+    // Clone reference: the `reset` and `restore_to_base` that cloned a
+    // pristine deploy before mark 0 replaced them, kept as the oracle the
+    // journal rewinds are held to
+    // ------------------------------------------------------------------
+
+    /// What the clone-based base restore kept beyond the deployed
+    /// namespace/cluster: the state a reset does not re-establish.
+    struct CloneBase {
+        clock: SimClock,
+        coverage: CoverageModel,
+        stats: SimStats,
+        check_timer: Option<PeriodicTimer>,
+        migrate_timer: PeriodicTimer,
+    }
+
+    impl CloneBase {
+        fn capture(s: &DfsSim) -> Self {
+            CloneBase {
+                clock: s.clock.clone(),
+                coverage: s.coverage.clone(),
+                stats: s.stats,
+                check_timer: s.check_timer.clone(),
+                migrate_timer: s.migrate_timer.clone(),
+            }
+        }
+    }
+
+    /// The clone-based `reset`. `pristine` is a fresh deploy of the same
+    /// configuration, standing in for the deploy-time clone.
+    fn clone_reset(s: &mut DfsSim, pristine: &DfsSim) {
+        s.marks.truncate(1);
+        s.ns.clone_from(&pristine.ns);
+        s.cluster.clone_from(&pristine.cluster);
+        s.placement_cache.invalidate();
+        s.balancer = Balancer::new(s.cfg.balance_threshold);
+        s.bugs.rearm();
+        s.hash_cache.clear();
+        s.crashed.clear();
+        s.crash = CrashRuntime::default();
+        if s.faults.any() {
+            let mgmt: Vec<NodeId> = s.cluster.mgmt.keys().copied().collect();
+            let storage: Vec<NodeId> = s.cluster.storage.keys().copied().collect();
+            s.faults.remap_nodes(&mgmt, &storage);
+        }
+        for id in s.faults.crashed().to_vec() {
+            s.cluster.set_offline(id);
+            s.crashed.push(id);
+        }
+        for id in s.faults.disk_full().to_vec() {
+            s.cluster.set_volumes_full(id);
+        }
+        s.prev_kind = None;
+        s.prev2_kind = None;
+        s.rr_counter = 0;
+        s.last_variance = (1.0, 1.0, 1.0);
+        let now = s.clock.now();
+        if let Some(t) = s.check_timer.as_mut() {
+            t.reset(now);
+        }
+        s.migrate_timer.reset(now);
+        s.stats.resets += 1;
+        s.clock.advance(60_000);
+    }
+
+    /// The clone-based `restore_to_base`.
+    fn clone_restore_to_base(s: &mut DfsSim, pristine: &DfsSim, base: &CloneBase) {
+        s.marks.truncate(1);
+        s.ns.clone_from(&pristine.ns);
+        s.cluster.clone_from(&pristine.cluster);
+        s.placement_cache.invalidate();
+        s.balancer = Balancer::new(s.cfg.balance_threshold);
+        s.bugs.rearm();
+        s.hash_cache.clear();
+        s.crashed.clear();
+        s.faults = FaultInjector::default();
+        s.prev_kind = None;
+        s.prev2_kind = None;
+        s.rr_counter = 0;
+        s.last_variance = (1.0, 1.0, 1.0);
+        s.clock = base.clock.clone();
+        s.coverage.clone_from(&base.coverage);
+        s.stats = base.stats;
+        s.check_timer.clone_from(&base.check_timer);
+        s.migrate_timer.clone_from(&base.migrate_timer);
+        s.crash = CrashRuntime::default();
+    }
+
+    /// Everything a rewind restores, beyond [`fingerprint`]: coverage, the
+    /// fault injector, bug runtimes, the balancer and the small DFS state.
+    fn rewind_state(s: &DfsSim) -> String {
+        format!(
+            "{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+            fingerprint(s),
+            s.namespace().directories(),
+            s.coverage(),
+            s.fault_injector(),
+            s.oracle_bugs(),
+            s.balancer,
+            s.hash_cache,
+            (s.prev_kind, s.prev2_kind, s.rr_counter, s.last_variance),
+            s.check_timer,
+            s.migrate_timer,
+            s.crash,
+        )
+    }
+
+    /// A seeded mix of data, namespace and topology operations over about
+    /// a quarter hour of virtual time, ending in a rebalance window, so
+    /// each seed touches its own keys and the fault plans fire between
+    /// rounds.
+    fn seeded_churn(s: &mut DfsSim, seed: u64, round: u64) {
+        for i in 0..40 {
+            let r = crate::hashing::mix(seed, round << 32 | i);
+            let path = format!("/s{}", r % 12);
+            let req = match (r >> 8) % 16 {
+                0..=4 => DfsRequest::Create {
+                    path,
+                    size: (1 + (r >> 16) % 8) * MIB,
+                },
+                5 | 6 => DfsRequest::Overwrite {
+                    path,
+                    size: (1 + (r >> 16) % 8) * MIB,
+                },
+                7 => DfsRequest::Append { path, delta: MIB },
+                8 | 9 => DfsRequest::Delete { path },
+                10 => DfsRequest::Rename {
+                    from: path,
+                    to: format!("/d{}/s{}", (r >> 16) % 3, (r >> 20) % 12),
+                },
+                11 => DfsRequest::Mkdir {
+                    path: format!("/d{}", (r >> 16) % 3),
+                },
+                12 => DfsRequest::AddStorageNode {
+                    volumes: 2,
+                    capacity: 2 << 30,
+                },
+                13 => {
+                    let online = s.cluster().online_storage();
+                    let Some(&node) = online.get((r >> 16) as usize % online.len().max(1)) else {
+                        continue;
+                    };
+                    DfsRequest::RemoveStorageNode { node }
+                }
+                _ => DfsRequest::Open { path },
+            };
+            let _ = s.execute(&req);
+            s.tick(20_000);
+        }
+        s.rebalance();
+        for _ in 0..200 {
+            if s.rebalance_status() != RebalanceStatus::Running {
+                break;
+            }
+            s.tick(1_000);
+        }
+    }
+
+    #[test]
+    fn clone_reference_agrees_with_journal_rewinds() {
+        // Resets taken while fault-crashed or forced-full machines exist,
+        // per profile: the damage re-application must be exercised.
+        let mut damaged_resets = BTreeMap::new();
+        let mut count_damage = |profile: &'static str, s: &DfsSim| {
+            let faults = s.fault_injector();
+            let damaged = !faults.crashed().is_empty() || !faults.disk_full().is_empty();
+            *damaged_resets.entry(profile).or_insert(0) += u32::from(damaged);
+        };
+        for flavor in Flavor::all() {
+            let pristine = DfsSim::new(flavor, BugSet::All);
+            for profile in ["none", "crash", "diskfull", "chaos"] {
+                for seed in [1, 2] {
+                    let at = format!("{flavor:?}/{profile}/seed {seed}");
+                    let plan = FaultPlan::named(profile, seed).expect("known profile");
+                    let mut journal = DfsSim::new(flavor, BugSet::All);
+                    let mut reference = DfsSim::new(flavor, BugSet::All);
+                    let base = CloneBase::capture(&reference);
+                    for s in [&mut journal, &mut reference] {
+                        s.set_fault_plan(plan.clone());
+                        seeded_churn(s, seed, 0);
+                    }
+                    count_damage(profile, &journal);
+                    journal.reset();
+                    clone_reset(&mut reference, &pristine);
+                    assert_eq!(
+                        rewind_state(&journal),
+                        rewind_state(&reference),
+                        "{at}: reset"
+                    );
+
+                    for s in [&mut journal, &mut reference] {
+                        seeded_churn(s, seed, 1);
+                        s.fork();
+                        seeded_churn(s, seed, 2);
+                        s.fork();
+                        seeded_churn(s, seed, 3);
+                    }
+                    count_damage(profile, &journal);
+                    journal.reset();
+                    clone_reset(&mut reference, &pristine);
+                    assert_eq!(journal.fork_count(), 0, "{at}");
+                    assert_eq!(
+                        rewind_state(&journal),
+                        rewind_state(&reference),
+                        "{at}: reset with fork marks live"
+                    );
+
+                    for s in [&mut journal, &mut reference] {
+                        seeded_churn(s, seed, 4);
+                    }
+                    journal.restore_to_base();
+                    clone_restore_to_base(&mut reference, &pristine, &base);
+                    assert_eq!(
+                        rewind_state(&journal),
+                        rewind_state(&reference),
+                        "{at}: restore_to_base"
+                    );
+
+                    // Hidden state (placement rings, trigger progress)
+                    // would surface once both sims run on.
+                    for s in [&mut journal, &mut reference] {
+                        s.set_fault_plan(plan.clone());
+                        seeded_churn(s, seed, 5);
+                    }
+                    assert_eq!(
+                        rewind_state(&journal),
+                        rewind_state(&reference),
+                        "{at}: run after restore_to_base"
+                    );
+                }
+            }
+        }
+        assert_eq!(damaged_resets["none"], 0);
+        for profile in ["crash", "diskfull", "chaos"] {
+            assert!(
+                damaged_resets[profile] > 0,
+                "no reset under {profile} saw machine damage: {damaged_resets:?}"
+            );
+        }
     }
 
     // ------------------------------------------------------------------
