@@ -12,8 +12,8 @@
 //!
 //! 1. **Per-worker simulator reuse.** Each worker owns one
 //!    [`CellRunner`] per flavor it touches: a single deploy, base-marked,
-//!    then rewound between cells via `restore_to_base` (a pristine-clone
-//!    restore) instead of re-ingesting the whole topology per cell. A
+//!    then rewound between cells via `restore_to_base` (a journal rewind
+//!    to mark 0) instead of re-ingesting the whole topology per cell. A
 //!    grid's total deploy count drops from `cells` to at most
 //!    `workers × flavors`, which [`WorkerStats::redeploys`] proves.
 //! 2. **Work stealing.** Cell indices are seeded into per-worker FIFO

@@ -170,8 +170,8 @@ pub fn measure_campaign_modes(
 }
 
 /// Micro-costs of the simulator's fork/restore journal, as raw
-/// measurement records: one full pristine `reset()` (what the redeploy
-/// fallback pays per iteration), one fork mark on a journaling sim, and
+/// measurement records: one full `reset()` (what the redeploy
+/// fallback pays per iteration), one fork mark, and
 /// one execute-8-ops-then-restore round trip (what a full-replay
 /// iteration pays to rewind an 8-op case).
 pub fn measure_fork_restore() -> Vec<RawMeasurement> {

@@ -20,7 +20,7 @@
 //!   cluster/namespace mutations across an RPC/clock boundary is a
 //!   multi-step crash window. It must decompose into registered crash
 //!   points (reach `crash_point` on the call graph) or carry a reasoned
-//!   pragma stating the atomic-window assumption (ROADMAP item 5 tracks
+//!   pragma stating the atomic-window assumption (ROADMAP item 7 tracks
 //!   the create/delete/heal remainder).
 //! * **steal-protocol** — the grid's work-stealing discipline: no
 //!   single-task `steal()` (half-batch steals keep schedules
@@ -403,7 +403,7 @@ fn crash_decomposition(cm: &CrateModel, out: &mut Vec<SemFinding>) {
                     "`DfsSim::{}` performs {muts} cluster/namespace mutations across an \
                      RPC/clock boundary with no registered crash points: a crash between \
                      them is unexplorable — decompose into crash_point micro-steps or \
-                     pragma-document the atomic-window assumption (ROADMAP item 5)",
+                     pragma-document the atomic-window assumption (ROADMAP item 7)",
                     f.name
                 ),
             });

@@ -30,8 +30,8 @@
 //! Id stability across churn: removing a node or volume never compacts
 //! the arena — the slot empties and the id is retired forever (the
 //! counters only grow). Checkpoints clone the arenas wholesale exactly as
-//! they cloned the maps, so fork/restore and `mark_base`/`restore_to_base`
-//! see identical semantics.
+//! they cloned the maps, so every rewind, to a fork mark or to mark 0,
+//! sees identical semantics.
 
 use crate::node::StorageNode;
 use crate::types::{Bytes, NodeId, VolumeId};

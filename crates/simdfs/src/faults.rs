@@ -349,7 +349,7 @@ impl FaultInjector {
         }
     }
 
-    /// Re-targets fault state after a redeploy restored the pristine
+    /// Re-targets fault state after a redeploy restored the deployed
     /// topology: the same machine pool hosts the fresh nodes, so machine
     /// faults attached to nodes that no longer exist are re-assigned to
     /// restored nodes of the same role (in id order, skipping hosts that

@@ -233,22 +233,18 @@ impl DfsSim {
             cfg,
             bug_set,
         };
-        sim.build_topology();
+        for _ in 0..sim.cfg.mgmt_nodes {
+            sim.cluster.add_mgmt(6);
+        }
+        for _ in 0..sim.cfg.storage_nodes {
+            sim.cluster
+                .add_storage(sim.cfg.volumes_per_node, sim.cfg.volume_capacity);
+        }
+        sim.preload_base_data();
         // Mark 0 closes the deploy: the `/sys` preload before it is not
         // journaled, everything after it is.
         sim.mark_base();
         sim
-    }
-
-    fn build_topology(&mut self) {
-        for _ in 0..self.cfg.mgmt_nodes {
-            self.cluster.add_mgmt(6);
-        }
-        for _ in 0..self.cfg.storage_nodes {
-            self.cluster
-                .add_storage(self.cfg.volumes_per_node, self.cfg.volume_capacity);
-        }
-        self.preload_base_data();
     }
 
     /// Pre-loads base data under `/sys` (outside the tester's mount): a
@@ -595,7 +591,7 @@ impl DfsSim {
         }
     }
 
-    // detlint:allow(crash-decomposition): delete/churn arms are atomic windows pending ROADMAP item 5 (migration is decomposed; create/delete/heal are next)
+    // detlint:allow(crash-decomposition): delete/churn arms are atomic windows pending ROADMAP item 7 (migration is decomposed; create/delete/heal are next)
     fn apply_request(&mut self, req: &DfsRequest) -> SimResult<ReqOutcome> {
         match req {
             DfsRequest::Create { path, size } => self.do_create(path, *size),
@@ -713,7 +709,7 @@ impl DfsSim {
         }
     }
 
-    // detlint:allow(crash-decomposition): create (namespace insert + fragment placement) runs as one atomic window pending ROADMAP item 5
+    // detlint:allow(crash-decomposition): create (namespace insert + fragment placement) runs as one atomic window pending ROADMAP item 7
     fn do_create(&mut self, path: &str, size: Bytes) -> SimResult<ReqOutcome> {
         let key = hash_str(path);
         let fragments = self.plan_fragments(key, size)?;
@@ -986,7 +982,7 @@ impl DfsSim {
         }
     }
 
-    // detlint:allow(crash-decomposition): resize (namespace size + replica rescale/spill) runs as one atomic window pending ROADMAP item 5
+    // detlint:allow(crash-decomposition): resize (namespace size + replica rescale/spill) runs as one atomic window pending ROADMAP item 7
     fn do_resize(&mut self, path: &str, new_size: Bytes) -> SimResult<ReqOutcome> {
         let (fid, old) = self.ns.open(path)?;
         if old == 0 && new_size > 0 {
@@ -2176,11 +2172,19 @@ impl DfsSim {
         }
     }
 
-    /// Captures the current execution point as a new mark.
-    fn take_mark(&mut self) -> SimSnapshot {
+    /// Marks the current execution point so it can be returned to with
+    /// [`DfsSim::restore`]. Returns an id that stays valid until the mark
+    /// is restored past, [`DfsSim::release`]d, or the sim is reset.
+    ///
+    /// A mark costs a clone of the small state plus a position in the
+    /// undo journals, which run from deploy on; a restore then costs
+    /// O(keys touched since the mark), not O(state). Marks form a stack
+    /// along one lineage: restoring mark `a` kills every mark taken after
+    /// `a`.
+    pub fn fork(&mut self) -> u64 {
         let id = self.next_mark_id;
         self.next_mark_id += 1;
-        SimSnapshot {
+        self.marks.push(SimSnapshot {
             id,
             clock: self.clock.clone(),
             ns: self.ns.checkpoint(),
@@ -2198,22 +2202,7 @@ impl DfsSim {
             check_timer: self.check_timer.clone(),
             migrate_timer: self.migrate_timer.clone(),
             crash: self.crash.clone(),
-        }
-    }
-
-    /// Marks the current execution point so it can be returned to with
-    /// [`DfsSim::restore`]. Returns an id that stays valid until the mark
-    /// is restored past, [`DfsSim::release`]d, or the sim is reset.
-    ///
-    /// A mark costs a clone of the small state plus a position in the
-    /// undo journals, which run from deploy on; a restore then costs
-    /// O(keys touched since the mark), not O(state). Marks form a stack
-    /// along one lineage: restoring mark `a` kills every mark taken after
-    /// `a`.
-    pub fn fork(&mut self) -> u64 {
-        let mark = self.take_mark();
-        let id = mark.id;
-        self.marks.push(mark);
+        });
         id
     }
 
@@ -2372,8 +2361,7 @@ impl DfsSim {
         self.marks.clear();
         self.ns.clear_journal();
         self.cluster.clear_journal();
-        let base = self.take_mark();
-        self.marks.push(base);
+        self.fork();
         self.base_coverage.clone_from(&self.coverage);
     }
 
