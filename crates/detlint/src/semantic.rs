@@ -369,10 +369,16 @@ fn is_cluster_mutation(call: &Chain) -> bool {
         || (NS_MUTS.contains(&last) && call.segs.iter().any(|s| s == "ns"))
 }
 
+/// Whether `path` is a file of the simulator's `sim` module (`sim.rs`, or
+/// `sim/mod.rs` and its submodules), where the `DfsSim` impls live.
+fn in_sim_module(path: &str) -> bool {
+    path == "crates/simdfs/src/sim.rs" || path.starts_with("crates/simdfs/src/sim/")
+}
+
 fn crash_decomposition(cm: &CrateModel, out: &mut Vec<SemFinding>) {
     let crash_targets: BTreeSet<&str> = ["crash_point"].into_iter().collect();
     for fm in &cm.files {
-        if fm.path != "crates/simdfs/src/sim.rs" {
+        if !in_sim_module(&fm.path) {
             continue;
         }
         for f in &fm.fns {

@@ -211,6 +211,54 @@ fn fixture_tree_with_one_seeded_violation_per_semantic_pack_fails() {
 }
 
 #[test]
+fn crash_decomposition_scans_every_file_of_the_sim_module() {
+    // The `DfsSim` impls are split across `sim/mod.rs` and its
+    // submodules: a multi-step window in `sim/rewind.rs` must be flagged,
+    // and a reasoned allow in `sim/mod.rs` must suppress, not go stale.
+    let fixture = write_fixture(
+        "sim-module",
+        &[
+            (
+                "crates/simdfs/src/sim/rewind.rs",
+                "impl DfsSim {\n\
+                     fn do_wipe(&mut self, p: &str) {\n\
+                         let fid = self.ns.delete(p);\n\
+                         self.charge_mgmt(m, req);\n\
+                         self.cluster.free_file(fid);\n\
+                     }\n\
+                 }\n",
+            ),
+            (
+                "crates/simdfs/src/sim/mod.rs",
+                "impl DfsSim {\n\
+                     // detlint:allow(crash-decomposition): one atomic window by design\n\
+                     fn do_move(&mut self, f: FileId) {\n\
+                         self.cluster.free_file(f);\n\
+                         self.clock.advance(1);\n\
+                         self.cluster.store(f, v, b);\n\
+                     }\n\
+                 }\n",
+            ),
+        ],
+    );
+    let outcome = detlint::lint_root(&fixture).expect("fixture scan failed");
+    let hit: Vec<(&str, &str)> = outcome
+        .violations
+        .iter()
+        .map(|v| (v.rule.as_str(), v.file.as_str()))
+        .collect();
+    assert_eq!(
+        hit,
+        [("crash-decomposition", "crates/simdfs/src/sim/rewind.rs")],
+        "{}",
+        outcome.render_text()
+    );
+    assert_eq!(outcome.suppressions.len(), 1);
+    assert_eq!(outcome.suppressions[0].rule, "crash-decomposition");
+    fs::remove_dir_all(&fixture).unwrap();
+}
+
+#[test]
 fn fixture_with_stale_pragma_warns_and_fails_only_under_strict() {
     let fixture = write_fixture(
         "stale-pragma",
