@@ -1,15 +1,11 @@
 //! The undo journal behind every simulator rewind.
-//!
-//! The namespace arena and the cluster's file map each own one
-//! [`UndoJournal`]. A mark is a position in it; rewinding pops the
-//! records above the mark and writes each pre-image back, newest first.
-//! A key's pre-image is recorded only on its first touch since the newest
-//! mark, so the journal grows with the keys a run touches, not with its
-//! operation count: a campaign that overwrites one file a thousand times
-//! records it once.
 
-/// First-touch undo records over a collection keyed by dense indices
-/// (arena slots, file ids). Off until the first [`UndoJournal::mark`].
+/// Undo records over a collection keyed by dense indices (arena slots,
+/// file ids). A mark is a position in the journal; rewinding pops the
+/// records above it and the owner writes each pre-image back, newest
+/// first. A key's pre-image is recorded only on its first touch since the
+/// newest mark, so the journal grows with the keys touched, not with the
+/// operation count. Off until the first [`UndoJournal::mark`].
 #[derive(Debug, Clone)]
 pub(crate) struct UndoJournal<V> {
     /// `(key, pre-image)`, oldest first; `None` means the key was absent.

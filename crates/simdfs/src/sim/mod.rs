@@ -2956,8 +2956,8 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Clone reference: the `reset` and `restore_to_base` that cloned a
-    // pristine deploy before mark 0 replaced them, kept as the oracle the
+    // Clone reference: the `reset` and `restore_to_base` that cloned the
+    // deployed state before mark 0 replaced them, kept as the oracle the
     // journal rewinds are held to
     // ------------------------------------------------------------------
 
@@ -2983,12 +2983,12 @@ mod tests {
         }
     }
 
-    /// The clone-based `reset`. `pristine` is a fresh deploy of the same
+    /// The clone-based `reset`. `deployed` is a fresh deploy of the same
     /// configuration, standing in for the deploy-time clone.
-    fn clone_reset(s: &mut DfsSim, pristine: &DfsSim) {
+    fn clone_reset(s: &mut DfsSim, deployed: &DfsSim) {
         s.marks.truncate(1);
-        s.ns.clone_from(&pristine.ns);
-        s.cluster.clone_from(&pristine.cluster);
+        s.ns.clone_from(&deployed.ns);
+        s.cluster.clone_from(&deployed.cluster);
         s.placement_cache.invalidate();
         s.balancer = Balancer::new(s.cfg.balance_threshold);
         s.bugs.rearm();
@@ -3021,10 +3021,10 @@ mod tests {
     }
 
     /// The clone-based `restore_to_base`.
-    fn clone_restore_to_base(s: &mut DfsSim, pristine: &DfsSim, base: &CloneBase) {
+    fn clone_restore_to_base(s: &mut DfsSim, deployed: &DfsSim, base: &CloneBase) {
         s.marks.truncate(1);
-        s.ns.clone_from(&pristine.ns);
-        s.cluster.clone_from(&pristine.cluster);
+        s.ns.clone_from(&deployed.ns);
+        s.cluster.clone_from(&deployed.cluster);
         s.placement_cache.invalidate();
         s.balancer = Balancer::new(s.cfg.balance_threshold);
         s.bugs.rearm();
@@ -3124,12 +3124,13 @@ mod tests {
             *damaged_resets.entry(profile).or_insert(0) += u32::from(damaged);
         };
         for flavor in Flavor::all() {
-            let pristine = DfsSim::new(flavor, BugSet::All);
+            let deployed = DfsSim::new(flavor, BugSet::All);
             for profile in ["none", "crash", "diskfull", "chaos"] {
                 for seed in [1, 2] {
                     let at = format!("{flavor:?}/{profile}/seed {seed}");
                     let plan = FaultPlan::named(profile, seed).expect("known profile");
                     let mut journal = DfsSim::new(flavor, BugSet::All);
+                    journal.set_runtime_audit(true);
                     let mut reference = DfsSim::new(flavor, BugSet::All);
                     let base = CloneBase::capture(&reference);
                     for s in [&mut journal, &mut reference] {
@@ -3138,7 +3139,7 @@ mod tests {
                     }
                     count_damage(profile, &journal);
                     journal.reset();
-                    clone_reset(&mut reference, &pristine);
+                    clone_reset(&mut reference, &deployed);
                     assert_eq!(
                         rewind_state(&journal),
                         rewind_state(&reference),
@@ -3154,7 +3155,7 @@ mod tests {
                     }
                     count_damage(profile, &journal);
                     journal.reset();
-                    clone_reset(&mut reference, &pristine);
+                    clone_reset(&mut reference, &deployed);
                     assert_eq!(journal.fork_count(), 0, "{at}");
                     assert_eq!(
                         rewind_state(&journal),
@@ -3166,7 +3167,7 @@ mod tests {
                         seeded_churn(s, seed, 4);
                     }
                     journal.restore_to_base();
-                    clone_restore_to_base(&mut reference, &pristine, &base);
+                    clone_restore_to_base(&mut reference, &deployed, &base);
                     assert_eq!(
                         rewind_state(&journal),
                         rewind_state(&reference),

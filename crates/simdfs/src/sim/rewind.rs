@@ -1,7 +1,5 @@
-//! Rewinding the simulator: journal marks, [`DfsSim::reset`],
-//! [`DfsSim::restore_to_base`], [`DfsSim::mark_base`] and the state audit
-//! that guards every rewind. Mark 0 is the deployed state; every rewind
-//! goes through the undo journals of [`crate::journal`].
+//! Rewinding the simulator through journal marks, of which mark 0 is the
+//! deployed state, and the state audit that guards every rewind.
 
 use super::{DfsSim, SimStats};
 use crate::balancer::Balancer;
@@ -108,12 +106,8 @@ impl DfsSim {
     /// Marks the current execution point so it can be returned to with
     /// [`DfsSim::restore`]. Returns an id that stays valid until the mark
     /// is restored past, [`DfsSim::release`]d, or the sim is reset.
-    ///
-    /// A mark costs a clone of the small state plus a position in the
-    /// undo journals, which run from deploy on; a restore then costs
-    /// O(keys touched since the mark), not O(state). Marks form a stack
-    /// along one lineage: restoring mark `a` kills every mark taken after
-    /// `a`.
+    /// Marks form a stack along one lineage: restoring mark `a` kills
+    /// every mark taken after `a`.
     pub fn fork(&mut self) -> u64 {
         let id = self.next_mark_id;
         self.next_mark_id += 1;
@@ -272,24 +266,19 @@ impl DfsSim {
         self.marks.len() - 1
     }
 
-    /// Takes mark 0 again at the current state, dropping every other mark
+    /// Takes mark 0 again at the current state, dropping every fork mark
     /// and all undo history: [`DfsSim::restore_to_base`] later rewinds to
     /// exactly this point, no matter what ran in between — including
     /// resets, which kill every fork mark.
     ///
-    /// Deploy takes mark 0 itself. Call this only at a freshly deployed
-    /// (or freshly reset) state with no fault plan installed and no live
-    /// fork marks: [`DfsSim::reset`] rewinds to mark 0 too, so marking a
-    /// dirtied state would change what a reset restores.
+    /// Deploy takes mark 0 itself. [`DfsSim::reset`] rewinds to mark 0
+    /// too and then re-applies the fault injector's machine damage, so
+    /// mark only a state without a fault plan.
     ///
     /// This is the entry point behind the grid executor's per-worker
     /// simulator pool: deploy once per (worker, flavor), restore to base
     /// between campaign cells instead of rebuilding the topology.
     pub fn mark_base(&mut self) {
-        debug_assert!(
-            self.marks.len() <= 1,
-            "mark_base on a sim with live fork marks"
-        );
         debug_assert!(!self.faults.any(), "mark_base with a fault plan installed");
         self.marks.clear();
         self.ns.clear_journal();
