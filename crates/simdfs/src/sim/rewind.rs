@@ -205,9 +205,9 @@ impl DfsSim {
 
     /// First-principles consistency audit of the simulator state.
     ///
-    /// Delegates the storage accounting to [`Cluster::audit`] (per-volume
-    /// byte totals recomputed from the file table) and additionally checks
-    /// the CPU/network side: every decaying load counter must hold a
+    /// Delegates the storage accounting to [`crate::Cluster::audit`]
+    /// (per-volume byte totals recomputed from the file table) and also
+    /// checks the CPU/network side: every decaying load counter must hold a
     /// finite, non-negative value whose last-update stamp does not lie in
     /// the simulated future. The rate counters are event-sourced and lazily
     /// decayed, so there is no independent ledger to resum them from — but
