@@ -333,27 +333,19 @@ impl DfsAdaptor for SimAdaptor {
         }
         let mut volumes: Vec<u64> = cluster.volume_owner.keys().map(|v| v.0 as u64).collect();
         volumes.sort_unstable();
-        let ns = sim.namespace();
         // `/sys` holds the deployment's pre-existing data; the tester's
         // FUSE mount only exposes its own test directory. The walk skips
         // that subtree outright — materializing thousands of preload paths
-        // only to filter them back out dominated inventory cost.
+        // only to filter them back out dominated inventory cost. A tester's
+        // own `/sysx` or `/sys2` is not the preload and stays visible.
+        let (files, dirs) = sim.namespace().listing_excluding_top("sys");
         NodeInventory {
             mgmt,
             storage,
             volumes,
             free_space: sim.free_space(),
-            files: ns
-                .files_excluding_top("sys")
-                .into_iter()
-                .map(|(p, _, _)| p)
-                .filter(|p| !p.starts_with("/sys"))
-                .collect(),
-            dirs: ns
-                .directories_excluding_top("sys")
-                .into_iter()
-                .filter(|p| !p.starts_with("/sys"))
-                .collect(),
+            files: files.into_iter().map(|(p, _, _)| p).collect(),
+            dirs,
         }
     }
 
@@ -535,6 +527,23 @@ mod tests {
         let after = a.inventory();
         assert_eq!(after.storage.len(), before.storage.len() + 1);
         assert!(after.volumes.len() > before.volumes.len());
+    }
+
+    #[test]
+    fn inventory_hides_only_the_sys_preload() {
+        let mut a = adaptor(Flavor::GlusterFs);
+        assert!(a.handle().borrow().namespace().exists("/sys/base0"));
+        a.send(&create("/sysx", 1 << 20)).unwrap();
+        a.send(&Operation::new(
+            Operator::Mkdir,
+            vec![Operand::FileName("/sys2".into())],
+        ))
+        .unwrap();
+        a.send(&create("/sys2/f", 1 << 20)).unwrap();
+        // Exactly the tester's paths: `/sys/base*` stays hidden.
+        let inv = a.inventory();
+        assert_eq!(inv.files, vec!["/sys2/f".to_string(), "/sysx".to_string()]);
+        assert_eq!(inv.dirs, vec!["/sys2".to_string()]);
     }
 
     #[test]

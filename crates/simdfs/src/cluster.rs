@@ -90,7 +90,7 @@ pub struct Cluster {
     /// checkpoint wholesale, so only `files`, the one collection that
     /// grows with workload size, is journaled.
     journal: UndoJournal<FileMeta>,
-    /// Streaming per-node utilization statistics (Σx, Σx², min/max over
+    /// Streaming per-node utilization statistics (Σx, Σx², a max tree over
     /// quantized fills). Every mutation that can change a storage node's
     /// utilization or eligibility refreshes its entry, making the
     /// imbalance ratio an O(1) read regardless of cluster size. See the
@@ -300,6 +300,12 @@ impl Cluster {
     #[cfg(test)]
     pub(crate) fn journal_len(&self) -> usize {
         self.journal.len()
+    }
+
+    /// Write access to the streaming stats, for tests that corrupt them.
+    #[cfg(test)]
+    pub(crate) fn util_stats_mut(&mut self) -> &mut UtilTracker {
+        &mut self.util_stats
     }
 
     /// Drops the undo history and switches journaling off until the next
@@ -1095,11 +1101,14 @@ impl Cluster {
         if fresh != self.util_stats {
             return Err(format!(
                 "streaming utilization stats drifted from the node tables: \
-                 tracked {} nodes Σq={} but recomputation gives {} nodes Σq={}",
+                 tracked {} nodes Σq={} max={:?} but recomputation gives \
+                 {} nodes Σq={} max={:?}",
                 self.util_stats.count(),
                 self.util_stats.sum_q(),
+                self.util_stats.max_q(),
                 fresh.count(),
-                fresh.sum_q()
+                fresh.sum_q(),
+                fresh.max_q()
             ));
         }
         if online != self.online_storage_nodes {

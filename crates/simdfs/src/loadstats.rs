@@ -7,25 +7,25 @@
 //! incrementally: every cluster mutation that can change a node's
 //! utilization (or its eligibility) reports the node's new quantized
 //! utilization, and the imbalance ratio, mean and variance become O(1)
-//! reads (O(log n) per update).
+//! reads (O(log n) per update, usually less: the max-tree walk stops at
+//! the first ancestor that does not change).
 //!
 //! ## Exactness contract
 //!
 //! All state is integer: utilizations are quantized to `used·2³²/capacity`
-//! (a 32-bit fixed-point fraction), the sums are `u128`, and min/max come
-//! from an ordered multiset of quantized values. Integer accumulation is
-//! order-independent and loss-free, so the tracker is *exactly* equal to a
-//! fresh recomputation from the node tables after any mutation sequence —
-//! including snapshot-fork restores, where the tracker is cloned and
-//! restored wholesale. `Cluster::audit` recomputes it from scratch and
-//! fails on any drift.
+//! (a 32-bit fixed-point fraction), the sums are `u128`, and the maximum
+//! is the root of a flat max tree over the node-id slots. Integer
+//! accumulation is order-independent and loss-free, so the tracker is
+//! *exactly* equal to a fresh recomputation from the node tables after
+//! any mutation sequence — including snapshot-fork restores, where the
+//! tracker is cloned and restored wholesale. `Cluster::audit` recomputes
+//! it from scratch and fails on any drift, the tree's maximum included.
 //!
 //! Quantization granularity is `capacity·2⁻³²` (about 12 bytes on a 48 GiB
 //! node), so the ratio differs from the exact `f64` ratio by at most ~1e-9
 //! relative at MiB file scales.
 
 use crate::types::{Bytes, NodeId};
-use std::collections::BTreeMap;
 
 /// Fixed-point scale: utilizations are fractions with 32 fractional bits.
 const Q_SCALE_BITS: u32 = 32;
@@ -45,31 +45,29 @@ pub fn quantize(used: Bytes, capacity: Bytes) -> u64 {
     ((used as u128 * (1u128 << Q_SCALE_BITS)) / capacity as u128) as u64
 }
 
-/// Sentinel marking an untracked arena slot. Valid quantized values are
-/// at most `2³²` (saturated full), so `u64::MAX` is unreachable.
-const NO_ENTRY: u64 = u64::MAX;
-
 /// Streaming accumulator over per-node quantized utilizations.
 ///
-/// Tracks Σx, Σx², count, and the exact min/max via an ordered multiset.
-/// One entry per *eligible* node; the owner decides eligibility (for the
-/// storage dimension: online, has volumes, positive capacity) and calls
+/// Tracks Σx, Σx², count, and the exact maximum via a max tree. One entry
+/// per *eligible* node; the owner decides eligibility (for the storage
+/// dimension: online, has volumes, positive capacity) and calls
 /// [`UtilTracker::update`] with `None` to remove a node that became
 /// ineligible.
 ///
-/// Entries live in a dense arena indexed by the raw node id (see
-/// `crate::arena`): updates are one array write plus the multiset
-/// adjustment, and the per-node column is contiguous — at 100k nodes the
-/// former `BTreeMap<NodeId, u64>` paid a pointer-chasing descent per
-/// maintenance call on every store/free/migrate.
+/// Entries are the leaves of the tree, indexed by the raw node id (see
+/// `crate::arena`), so an update is one array write plus a walk up the
+/// leaf's ancestors, with no tree descent or allocation, and the whole
+/// tracker is one contiguous vector.
 #[derive(Debug, Clone, Default)]
 pub struct UtilTracker {
-    /// Quantized utilization per node id slot; [`NO_ENTRY`] = untracked.
-    entries: Vec<u64>,
+    /// Max tree as an implicit binary heap: `tree[1]` is the root, node
+    /// `i` has children `2i` and `2i + 1`, and the leaf of raw node id `n`
+    /// is `tree[width + n]`, where `width = tree.len() / 2` is a power of
+    /// two. Leaves hold `q + 1` for a tracked node and 0 for an untracked
+    /// slot; every interior node holds the larger of its two children, so
+    /// 0 means an empty subtree.
+    tree: Vec<u64>,
     /// Number of tracked (eligible) nodes.
     live: usize,
-    /// Multiset of the tracked values, for exact min/max under removal.
-    dist: BTreeMap<u64, u32>,
     /// Σ quantized utilization. 100k nodes × 2³² < 2⁵⁰ — far inside u128.
     sum: u128,
     /// Σ (quantized utilization)². 100k × 2⁶⁴ < 2⁸¹ — far inside u128.
@@ -77,23 +75,20 @@ pub struct UtilTracker {
 }
 
 /// Trackers compare by *content*: two trackers are equal when they track
-/// the same nodes at the same values, regardless of how many trailing
-/// sentinel slots each arena happens to carry (a fresh recomputation may
-/// have a shorter entries vector than a tracker that once saw higher ids).
+/// the same nodes at the same values and report the same maximum,
+/// regardless of how wide each tree happens to be (a fresh recomputation
+/// may have a narrower tree than a tracker that once saw higher ids).
 impl PartialEq for UtilTracker {
     fn eq(&self, other: &Self) -> bool {
         if self.live != other.live
             || self.sum != other.sum
             || self.sum_sq != other.sum_sq
-            || self.dist != other.dist
+            || self.max_q() != other.max_q()
         {
             return false;
         }
-        let n = self.entries.len().max(other.entries.len());
-        (0..n).all(|i| {
-            self.entries.get(i).copied().unwrap_or(NO_ENTRY)
-                == other.entries.get(i).copied().unwrap_or(NO_ENTRY)
-        })
+        let n = self.width().max(other.width());
+        (0..n).all(|i| self.leaf(i) == other.leaf(i))
     }
 }
 
@@ -105,36 +100,63 @@ impl UtilTracker {
         Self::default()
     }
 
+    /// Number of leaves (node-id slots) the tree spans.
+    fn width(&self) -> usize {
+        self.tree.len() / 2
+    }
+
+    /// Leaf value of slot `idx`: `q + 1`, or 0 when untracked.
+    fn leaf(&self, idx: usize) -> u64 {
+        self.tree.get(self.width() + idx).copied().unwrap_or(0)
+    }
+
     /// Sets, replaces, or removes (`q = None`) a node's quantized
-    /// utilization. One arena write plus an O(log distinct-values)
-    /// multiset adjustment.
+    /// utilization: one leaf write, then a walk up the ancestors that
+    /// stops at the first one whose maximum does not change.
     pub fn update(&mut self, node: NodeId, q: Option<u64>) {
         let idx = node.0 as usize;
-        if idx >= self.entries.len() {
+        if idx >= self.width() {
             if q.is_none() {
                 return; // removing a node that was never tracked
             }
-            self.entries.resize(idx + 1, NO_ENTRY);
+            self.widen(idx + 1);
         }
-        debug_assert!(q != Some(NO_ENTRY), "utilization collides with sentinel");
-        let old = std::mem::replace(&mut self.entries[idx], q.unwrap_or(NO_ENTRY));
-        if old != NO_ENTRY {
+        debug_assert!(
+            q != Some(u64::MAX),
+            "utilization overflows the leaf encoding"
+        );
+        let mut i = self.width() + idx;
+        let old = std::mem::replace(&mut self.tree[i], q.map_or(0, |v| v + 1));
+        if let Some(old) = old.checked_sub(1) {
             self.live -= 1;
             self.sum -= old as u128;
             self.sum_sq -= (old as u128) * (old as u128);
-            match self.dist.get_mut(&old) {
-                Some(n) if *n > 1 => *n -= 1,
-                _ => {
-                    self.dist.remove(&old);
-                }
-            }
         }
         if let Some(v) = q {
             self.live += 1;
             self.sum += v as u128;
             self.sum_sq += (v as u128) * (v as u128);
-            *self.dist.entry(v).or_insert(0) += 1;
         }
+        while i > 1 {
+            let max = self.tree[i].max(self.tree[i ^ 1]);
+            i /= 2;
+            if self.tree[i] == max {
+                break;
+            }
+            self.tree[i] = max;
+        }
+    }
+
+    /// Grows the tree to at least `slots` leaves (a power of two) and
+    /// rebuilds its interior nodes.
+    fn widen(&mut self, slots: usize) {
+        let (old, width) = (self.width(), slots.next_power_of_two());
+        let mut tree = vec![0; 2 * width];
+        tree[width..width + old].copy_from_slice(&self.tree[old..]);
+        for i in (1..width).rev() {
+            tree[i] = tree[2 * i].max(tree[2 * i + 1]);
+        }
+        self.tree = tree;
     }
 
     /// Number of eligible nodes.
@@ -143,13 +165,19 @@ impl UtilTracker {
     }
 
     /// Smallest tracked quantized utilization, if any node is tracked.
+    /// A scan of the leaves: nothing on the hot path reads the minimum.
     pub fn min_q(&self) -> Option<u64> {
-        self.dist.keys().next().copied()
+        self.tree[self.width()..]
+            .iter()
+            .filter(|&&v| v != 0)
+            .min()
+            .map(|v| v - 1)
     }
 
-    /// Largest tracked quantized utilization, if any node is tracked.
+    /// Largest tracked quantized utilization, if any node is tracked: the
+    /// root of the max tree.
     pub fn max_q(&self) -> Option<u64> {
-        self.dist.keys().next_back().copied()
+        self.tree.get(1).and_then(|v| v.checked_sub(1))
     }
 
     /// Σ of quantized utilizations.
@@ -214,10 +242,15 @@ impl UtilTracker {
 
     /// The tracked quantized utilization for `node`, if eligible.
     pub fn get(&self, node: NodeId) -> Option<u64> {
-        self.entries
-            .get(node.0 as usize)
-            .copied()
-            .filter(|&q| q != NO_ENTRY)
+        self.leaf(node.0 as usize).checked_sub(1)
+    }
+
+    /// Lowers the root of the max tree by one quantum, the drift an
+    /// ancestor walk that stops one level early leaves behind: leaves,
+    /// sums and count stay right, only [`UtilTracker::max_q`] goes stale.
+    #[cfg(test)]
+    pub(crate) fn corrupt_root_for_test(&mut self) {
+        self.tree[1] -= 1;
     }
 }
 
@@ -243,6 +276,7 @@ pub fn float_mean_variance(utils: impl Iterator<Item = f64>) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn tracker(vals: &[(u32, u64)]) -> UtilTracker {
         let mut t = UtilTracker::new();
@@ -355,36 +389,157 @@ mod tests {
         assert_eq!(t.sum_q(), 7);
     }
 
+    /// The ordered-multiset tracker the max tree replaced, kept as the
+    /// reference arm of the random walk.
+    #[derive(Default)]
+    struct ReferenceTracker {
+        entries: Vec<u64>,
+        live: usize,
+        dist: BTreeMap<u64, u32>,
+        sum: u128,
+        sum_sq: u128,
+    }
+
+    impl ReferenceTracker {
+        const NO_ENTRY: u64 = u64::MAX;
+
+        fn update(&mut self, node: NodeId, q: Option<u64>) {
+            let idx = node.0 as usize;
+            if idx >= self.entries.len() {
+                if q.is_none() {
+                    return;
+                }
+                self.entries.resize(idx + 1, Self::NO_ENTRY);
+            }
+            let old = std::mem::replace(&mut self.entries[idx], q.unwrap_or(Self::NO_ENTRY));
+            if old != Self::NO_ENTRY {
+                self.live -= 1;
+                self.sum -= old as u128;
+                self.sum_sq -= (old as u128) * (old as u128);
+                match self.dist.get_mut(&old) {
+                    Some(n) if *n > 1 => *n -= 1,
+                    _ => {
+                        self.dist.remove(&old);
+                    }
+                }
+            }
+            if let Some(v) = q {
+                self.live += 1;
+                self.sum += v as u128;
+                self.sum_sq += (v as u128) * (v as u128);
+                *self.dist.entry(v).or_insert(0) += 1;
+            }
+        }
+
+        fn min_q(&self) -> Option<u64> {
+            self.dist.keys().next().copied()
+        }
+
+        fn max_q(&self) -> Option<u64> {
+            self.dist.keys().next_back().copied()
+        }
+
+        fn imbalance_ratio(&self) -> f64 {
+            let n = self.live;
+            if n < 2 || self.sum == 0 {
+                return 1.0;
+            }
+            let max = self.max_q().unwrap_or(0);
+            (max as f64 * n as f64) / self.sum as f64
+        }
+
+        fn is_imbalanced(&self, threshold: f64) -> bool {
+            let n = self.live;
+            if n < 2 || self.sum == 0 {
+                return false;
+            }
+            let max = self.max_q().unwrap_or(0);
+            max as f64 * n as f64 > (1.0 + threshold) * self.sum as f64
+        }
+    }
+
     #[test]
     fn tracker_equals_recomputation_after_random_walk() {
-        // Deterministic pseudo-random mutation walk; compare against a
-        // from-scratch rebuild after every step.
+        // Deterministic pseudo-random mutation walk. After every step the
+        // tracker must equal a from-scratch rebuild, agree with the
+        // ordered-multiset reference, and report the shadow map's extremes
+        // and ratios. The id span doubles every 1,000 steps (the tree
+        // widens from 4 to 256 slots), and a quarter of the steps lower or
+        // remove the current maximum.
         let mut t = UtilTracker::new();
+        let mut r = ReferenceTracker::default();
         let mut shadow: BTreeMap<NodeId, u64> = BTreeMap::new();
+        let mut widths = BTreeSet::new();
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        for _ in 0..2000 {
+        for step in 0..7_000u32 {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let id = NodeId((x >> 33) as u32 % 16);
-            let action = (x >> 13) % 3;
-            match action {
-                0 => {
-                    let q = x % (1u64 << 32);
-                    t.update(id, Some(q));
-                    shadow.insert(id, q);
-                }
+            let span = 4u32 << (step / 1_000);
+            let mut id = NodeId((x >> 33) as u32 % span);
+            let q = match (x >> 7) % 8 {
+                0..=3 => Some(x % ((1u64 << 32) + 1)),
+                4 | 5 => None,
                 _ => {
-                    t.update(id, None);
-                    shadow.remove(&id);
+                    // Aim at the current maximum: lower it or drop it.
+                    let (top, q) = shadow
+                        .iter()
+                        .map(|(&n, &q)| (n, q))
+                        .max_by_key(|&(n, q)| (q, n))
+                        .unwrap_or((id, 0));
+                    id = top;
+                    (x >> 40 & 1 == 0 && q > 0).then(|| (x >> 24) % q)
                 }
-            }
+            };
+            t.update(id, q);
+            r.update(id, q);
+            match q {
+                Some(q) => shadow.insert(id, q),
+                None => shadow.remove(&id),
+            };
+            widths.insert(t.width());
+
             let mut fresh = UtilTracker::new();
             for (&id, &q) in &shadow {
                 fresh.update(id, Some(q));
             }
-            assert_eq!(t, fresh);
+            assert_eq!(t, fresh, "step {step}");
+
+            let n = shadow.len();
+            let sum: u128 = shadow.values().map(|&q| q as u128).sum();
+            let max = shadow.values().max().copied();
+            assert_eq!(t.max_q(), max, "step {step}");
+            assert_eq!(t.min_q(), shadow.values().min().copied(), "step {step}");
+            assert_eq!((t.count(), t.sum_q()), (n, sum), "step {step}");
+            let ratio = if n < 2 || sum == 0 {
+                1.0
+            } else {
+                (max.unwrap() as f64 * n as f64) / sum as f64
+            };
+            assert_eq!(t.imbalance_ratio(), ratio, "step {step}");
+            for threshold in [0.0, 0.1, 0.2, 1.5] {
+                let expect = n >= 2
+                    && sum != 0
+                    && max.unwrap() as f64 * n as f64 > (1.0 + threshold) * sum as f64;
+                assert_eq!(t.is_imbalanced(threshold), expect, "step {step}");
+                assert_eq!(t.is_imbalanced(threshold), r.is_imbalanced(threshold));
+            }
+
+            assert_eq!(
+                (t.max_q(), t.min_q()),
+                (r.max_q(), r.min_q()),
+                "step {step}"
+            );
+            assert_eq!(t.imbalance_ratio(), r.imbalance_ratio(), "step {step}");
+            assert_eq!(
+                (t.count(), t.sum_q(), t.sum_sq_q()),
+                (r.live, r.sum, r.sum_sq)
+            );
         }
+        assert!(
+            widths.len() >= 6,
+            "the tree widened only through {widths:?}"
+        );
     }
 
     #[test]

@@ -392,22 +392,14 @@ impl Namespace {
         dirs
     }
 
-    /// Like [`Self::files`], skipping the top-level entry named `skip`
-    /// without materializing its subtree's paths (the `/sys` preload tree
-    /// can hold thousands of files a caller would only filter back out).
-    pub fn files_excluding_top(&self, skip: &str) -> Vec<(String, FileId, Bytes)> {
-        let mut out = Vec::new();
-        self.walk(0, &mut String::new(), &mut out, &mut Vec::new(), Some(skip));
-        out
-    }
-
-    /// Like [`Self::directories`], skipping the top-level entry named
-    /// `skip` and everything beneath it.
-    pub fn directories_excluding_top(&self, skip: &str) -> Vec<String> {
-        let mut dirs = Vec::new();
-        let mut out = Vec::new();
-        self.walk(0, &mut String::new(), &mut out, &mut dirs, Some(skip));
-        dirs
+    /// [`Self::files`] and [`Self::directories`] in one walk, skipping the
+    /// top-level entry named exactly `skip` without materializing its
+    /// subtree's paths (the `/sys` preload tree can hold thousands of
+    /// files a caller would only filter back out).
+    pub fn listing_excluding_top(&self, skip: &str) -> (Vec<(String, FileId, Bytes)>, Vec<String>) {
+        let (mut files, mut dirs) = (Vec::new(), Vec::new());
+        self.walk(0, &mut String::new(), &mut files, &mut dirs, Some(skip));
+        (files, dirs)
     }
 
     fn walk(

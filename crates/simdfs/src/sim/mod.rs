@@ -3378,6 +3378,25 @@ mod tests {
     }
 
     #[test]
+    fn release_oracle_catches_tracker_max_drift() {
+        let mut s = sim(Flavor::GlusterFs);
+        s.execute(&DfsRequest::Create {
+            path: "/a".into(),
+            size: 8 * MIB,
+        })
+        .unwrap();
+        s.audit_state().expect("fresh state audits clean");
+        // Leaves, sums and count stay right; only the max tree's root is
+        // stale, so only the tracker equality's maximum can see it.
+        s.cluster.util_stats_mut().corrupt_root_for_test();
+        let err = s.audit_state().unwrap_err();
+        assert!(
+            err.contains("utilization stats drifted"),
+            "unexpected message: {err}"
+        );
+    }
+
+    #[test]
     fn runtime_audit_flag_defaults_by_profile_and_toggles() {
         let mut s = sim(Flavor::Hdfs);
         assert_eq!(

@@ -49,11 +49,15 @@ run env CARGO_TARGET_DIR=.bench_build cargo test --release --offline \
 
 # The crash-consistency oracle must hold with debug_assertions compiled
 # out: rerun the release-profile regression tests that seed counter
-# drift and ownership divergence and expect the runtime auditor to
-# catch both (plus the audit-flag default/toggle contract). Release
-# builds skip the automatic audit after rewinds, so the clone-reference
-# test is the only check of journal rewinds without debug_assertions.
-run cargo test --release --offline -p simdfs -q -- release_oracle runtime_audit clone_reference
+# drift, ownership divergence and a stale max-tree root and expect the
+# runtime auditor to catch each (plus the audit-flag default/toggle
+# contract). Release builds skip the automatic audit after rewinds, so
+# the clone-reference test is the only check of journal rewinds without
+# debug_assertions. The coverage bitset and the max tracker are checked
+# against their ordered-set references here too, with overflow checks
+# compiled out of the bit arithmetic and the u128 sums.
+run cargo test --release --offline -p simdfs -q -- release_oracle runtime_audit clone_reference \
+    coverage_matches_btreeset_reference tracker_equals_recomputation_after_random_walk
 
 if [[ "${1:-}" != "--no-bench" ]]; then
     # Capture the committed baseline throughput BEFORE the bench run
