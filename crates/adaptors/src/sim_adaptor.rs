@@ -318,35 +318,16 @@ impl DfsAdaptor for SimAdaptor {
     }
 
     fn inventory(&mut self) -> NodeInventory {
-        let sim = self.sim.borrow();
-        let cluster = sim.cluster();
-        let mut mgmt = Vec::new();
-        let mut storage = Vec::new();
-        for (id, role, online) in cluster.node_ids() {
-            if !online {
-                continue;
-            }
-            match role {
-                NodeRole::Management => mgmt.push(id.0 as u64),
-                NodeRole::Storage => storage.push(id.0 as u64),
-            }
-        }
-        let mut volumes: Vec<u64> = cluster.volume_owner.keys().map(|v| v.0 as u64).collect();
-        volumes.sort_unstable();
+        let mut inv = self.topology();
         // `/sys` holds the deployment's pre-existing data; the tester's
         // FUSE mount only exposes its own test directory. The walk skips
         // that subtree outright — materializing thousands of preload paths
         // only to filter them back out dominated inventory cost. A tester's
         // own `/sysx` or `/sys2` is not the preload and stays visible.
-        let (files, dirs) = sim.namespace().listing_excluding_top("sys");
-        NodeInventory {
-            mgmt,
-            storage,
-            volumes,
-            free_space: sim.free_space(),
-            files: files.into_iter().map(|(p, _, _)| p).collect(),
-            dirs,
-        }
+        let (files, dirs) = self.sim.borrow().namespace().listing_excluding_top("sys");
+        inv.files = files.into_iter().map(|(p, _, _)| p).collect();
+        inv.dirs = dirs;
+        inv
     }
 
     fn free_space(&mut self) -> u64 {
@@ -517,16 +498,54 @@ mod tests {
 
     #[test]
     fn inventory_tracks_topology_changes() {
+        use simdfs::{FaultEvent, FaultKind, FaultPlan};
+        // Inventory is topology plus the namespace listing.
+        fn assert_matches_topology(a: &mut SimAdaptor, step: &str) {
+            let inv = a.inventory();
+            let topo = a.topology();
+            assert_eq!(inv.mgmt, topo.mgmt, "{step}");
+            assert_eq!(inv.storage, topo.storage, "{step}");
+            assert_eq!(inv.volumes, topo.volumes, "{step}");
+            assert_eq!(inv.free_space, topo.free_space, "{step}");
+        }
         let mut a = adaptor(Flavor::Hdfs);
+        a.send(&create("/x", 1 << 20)).unwrap();
         let before = a.inventory();
+        assert_eq!(before.files, vec!["/x".to_string()]);
+        assert_matches_topology(&mut a, "deployed");
+
         a.send(&Operation::new(
             Operator::AddStorage,
             vec![Operand::Size(1 << 30)],
         ))
         .unwrap();
-        let after = a.inventory();
-        assert_eq!(after.storage.len(), before.storage.len() + 1);
-        assert!(after.volumes.len() > before.volumes.len());
+        let added = a.inventory();
+        assert_eq!(added.storage.len(), before.storage.len() + 1);
+        assert!(added.volumes.len() > before.volumes.len());
+        assert_matches_topology(&mut a, "after add-storage");
+
+        let volume = added.volumes[0];
+        a.send(&Operation::new(
+            Operator::RemoveVolume,
+            vec![Operand::VolumeId(volume)],
+        ))
+        .unwrap();
+        let removed = a.inventory();
+        assert!(!removed.volumes.contains(&volume));
+        assert_matches_topology(&mut a, "after remove-volume");
+
+        let now = a.now_ms();
+        a.handle()
+            .borrow_mut()
+            .set_fault_plan(FaultPlan::new(vec![FaultEvent {
+                at_ms: now + 1,
+                kind: FaultKind::CrashStorage { index: 0 },
+            }]));
+        a.wait(10);
+        assert_eq!(a.handle().borrow().crashed_nodes().len(), 1);
+        let crashed = a.inventory();
+        assert_eq!(crashed.storage.len(), removed.storage.len() - 1);
+        assert_matches_topology(&mut a, "after a crash fault");
     }
 
     #[test]

@@ -705,11 +705,13 @@ impl Cluster {
         Ok(())
     }
 
-    /// Moves one replica of `fid` from `from` to `to`, storing `kept`
-    /// bytes at the destination (normally the full replica; less when a
-    /// data-loss effect corrupts the migration). Returns the bytes freed at
-    /// the source.
-    pub fn migrate(
+    /// Moves one replica of `fid` from `from` to `to` in one atomic step,
+    /// storing `kept` bytes at the destination (normally the full replica;
+    /// less when a data-loss effect corrupts the migration). Returns the
+    /// bytes freed at the source. The reference the migration micro-steps
+    /// below are checked against.
+    #[cfg(test)]
+    pub(crate) fn migrate(
         &mut self,
         fid: crate::types::FileId,
         from: VolumeId,
@@ -755,14 +757,12 @@ impl Cluster {
     // ------------------------------------------------------------------
     // Migration micro-steps
     //
-    // [`Cluster::migrate`] above is the atomic fast path the normal
-    // simulation loop uses. The crash-point explorer instead drives a
-    // migration through the same state transitions as enumerable
-    // micro-operations — per-fragment destination copies, the file-table
-    // commit, and the source-space reclaim — so a deterministic crash can
-    // land *between* any two of them. Composing the full sequence with no
-    // crash yields byte-identical cluster state to the atomic path (there
-    // is a differential test pinning this).
+    // Every balancer move runs as these micro-operations — per-fragment
+    // destination copies, the file-table commit, and the source-space
+    // reclaim — so a deterministic crash can land *between* any two of
+    // them. Composed with no crash, the sequence leaves the same state as
+    // the atomic test reference [`Cluster::migrate`] above (a
+    // differential test pins this).
     // ------------------------------------------------------------------
 
     /// Copies `bytes` of migrating data onto `to` without touching the
@@ -1217,6 +1217,66 @@ mod tests {
         c.migrate(FileId(1), a, b, 100).unwrap();
         assert_eq!(c.total_used(), 100, "200 bytes were lost in migration");
         assert_eq!(c.files[&FileId(1)].replicas[0].bytes, 100);
+    }
+
+    #[test]
+    fn microsteps_match_atomic_migrate() {
+        use crate::crash::{fragment_bytes, fragment_count};
+        use crate::types::MIB;
+        // (replica bytes, kept bytes): one to four fragments (the count
+        // clamps at four), with and without bytes lost in flight.
+        let cases = [
+            (100 * MIB, 100 * MIB),
+            (900 * MIB, 300 * MIB),
+            (600 * MIB, 600 * MIB),
+            (1 << 30, 1 << 30),
+            (3 << 30, (1 << 30) + 1),
+            (200 * MIB, 0),
+        ];
+        let mut seen_frags = Vec::new();
+        for (bytes, kept) in cases {
+            let build = || {
+                let mut c = cluster_with(3, 2, 8 << 30);
+                let views = c.volume_views();
+                c.store(FileId(1), views[0].volume, bytes).unwrap();
+                c.store(FileId(1), views[2].volume, bytes).unwrap();
+                c.store(FileId(2), views[4].volume, 5 * MIB).unwrap();
+                // A fresh views cache, so both paths patch it in place.
+                let _ = c.canonical_views();
+                (c, views[0].volume, views[4].volume)
+            };
+            let (mut atomic, from, to) = build();
+            let (mut stepped, _, _) = build();
+            let moved = atomic.migrate(FileId(1), from, to, kept).unwrap();
+            let frags = fragment_count(kept);
+            seen_frags.push(frags);
+            for i in 0..frags {
+                stepped
+                    .migrate_copy(to, fragment_bytes(kept, frags, i))
+                    .unwrap();
+            }
+            let swapped = stepped
+                .migrate_commit_swap(FileId(1), from, to, kept)
+                .unwrap();
+            assert_eq!(swapped, moved);
+            stepped.migrate_commit_account(from, moved);
+
+            let label = format!("{bytes} bytes keeping {kept} in {frags} fragments");
+            assert_eq!(stepped.volume_views(), atomic.volume_views(), "{label}");
+            assert_eq!(stepped.files(), atomic.files(), "{label}");
+            assert_eq!(stepped.util_stats(), atomic.util_stats(), "{label}");
+            assert_eq!(
+                stepped.canonical_views(),
+                atomic.canonical_views(),
+                "{label}"
+            );
+            assert!(cache_matches_rebuild(&mut stepped), "{label}");
+            atomic.audit().unwrap();
+            stepped.audit().unwrap();
+        }
+        for n in 1..=4 {
+            assert!(seen_frags.contains(&n), "no {n}-fragment case");
+        }
     }
 
     #[test]

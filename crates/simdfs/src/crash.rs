@@ -18,9 +18,9 @@
 //! namespace/replica/accounting invariants after recovery and classifies
 //! any violation.
 //!
-//! Normal campaigns never pay for any of this: with the instrumentation
-//! disarmed the migration loop takes the atomic [`crate::Cluster::migrate`]
-//! fast path, byte-identical to the pre-instrumentation behaviour.
+//! There is one migration path: every move runs its micro-steps, armed or
+//! not, so the explorer crashes the same code campaigns execute. Disarmed,
+//! a crash point returns before touching any state.
 
 use crate::balancer::MigrationMove;
 use crate::types::{Bytes, NodeId};
@@ -119,7 +119,8 @@ pub(crate) enum CrashPlan {
 /// snapshot-fork marks, so a restore rewinds it with everything else.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CrashRuntime {
-    /// `Some` while armed; `None` on the (hot) normal path.
+    /// `Some` while armed; `None` on the normal path, where every crash
+    /// point returns at once.
     pub plan: Option<CrashPlan>,
     /// Crash points passed since arming.
     pub points_seen: u64,
@@ -129,13 +130,6 @@ pub(crate) struct CrashRuntime {
     pub in_flight: Option<InFlightMove>,
     /// The last recovered move, kept for the oracle's classification.
     pub recovered: Option<InFlightMove>,
-}
-
-impl CrashRuntime {
-    /// Whether crash instrumentation is armed (micro-step path active).
-    pub fn armed(&self) -> bool {
-        self.plan.is_some()
-    }
 }
 
 /// The seeded crash-window failure classes, plus a backstop for any other

@@ -738,19 +738,16 @@ impl DfsSim {
         }
         let mut views = std::mem::take(&mut self.views_buf);
         self.cluster.volume_views_into(&mut views);
-        // Whether `views` is still the canonical list for the current
-        // generation: the cached placement path requires it (rings index
-        // into the canonical slice), hotspot- or partition-filtered views
-        // must go through the uncached reference path.
-        let mut canonical = true;
+        // Whether a filter hid any volume. The cached placement path
+        // requires the canonical list (rings index into the canonical
+        // slice), so filtered views go through the uncached `place`.
+        let mut filtered = false;
         if self.faults.has_partitions() {
             // Partitioned storage nodes are unreachable for new placements.
             let faults = &self.faults;
             let before = views.len();
             views.retain(|v| !faults.is_partitioned(v.node));
-            if views.len() != before {
-                canonical = false;
-            }
+            filtered = views.len() != before;
         }
         if let Some(victim) = hot_victim {
             let mut victim_views: Vec<_> =
@@ -765,8 +762,13 @@ impl DfsSim {
             }
             if !victim_views.is_empty() {
                 views = victim_views;
-                canonical = false;
+                filtered = true;
             }
+        }
+        if !filtered {
+            // Nothing was hidden, so `views` equals the canonical list.
+            self.views_buf = views;
+            return self.plan_fragments_canonical(key, size);
         }
         let block = self.effective_block(size);
         // Fragments stay block-granular so the balancer can move them
@@ -775,7 +777,6 @@ impl DfsSim {
         const MAX_FRAGMENT: Bytes = 64 * MIB;
         let mut out = std::mem::take(&mut self.frags_buf);
         out.clear();
-        let mut placed = std::mem::take(&mut self.placed_buf);
         // Volume→position index for the intra-plan fill updates below: on
         // large view lists a per-replica linear scan is an ambient O(V)
         // inside the block loop, so build the sorted index once. Small
@@ -791,24 +792,11 @@ impl DfsSim {
         let mut remaining = size;
         let mut block_idx = 0u64;
         let mut failed = None;
-        let generation = self.cluster.generation();
         while remaining > 0 {
             let b = block.min(remaining);
-            if canonical {
-                self.placement.place_cached_into(
-                    &mut self.placement_cache,
-                    generation,
-                    mix(key, block_idx),
-                    b,
-                    self.cfg.replicas,
-                    &views,
-                    &mut placed,
-                );
-            } else {
-                placed = self
-                    .placement
-                    .place(mix(key, block_idx), b, self.cfg.replicas, &views);
-            }
+            let placed = self
+                .placement
+                .place(mix(key, block_idx), b, self.cfg.replicas, &views);
             // Fewer replicas than requested is acceptable under space
             // pressure (reduced redundancy); zero placements is ENOSPC.
             if placed.is_empty() {
@@ -847,7 +835,6 @@ impl DfsSim {
             block_idx += 1;
         }
         self.views_buf = views;
-        self.placed_buf = placed;
         self.view_pos_buf = pos_index;
         match failed {
             Some(e) => {
@@ -1012,79 +999,68 @@ impl DfsSim {
         Ok(ReqOutcome::default())
     }
 
-    /// Single-replica hash-location lookup on the canonical views (Gluster
-    /// linkfile maintenance), through the placement cache.
+    /// Single-replica hash-location lookup (Gluster linkfile maintenance):
+    /// through the placement cache on the canonical views, or uncached on
+    /// the views a partition leaves reachable.
     fn hash_location(&mut self, key: u64) -> Option<VolumeId> {
-        if !self.faults.has_partitions() {
-            // Common case: look up against the cluster's canonical views
-            // cache directly, no per-op copy.
-            let generation = self.cluster.generation();
-            let mut placed = std::mem::take(&mut self.placed_buf);
-            self.placement.place_cached_into(
-                &mut self.placement_cache,
-                generation,
-                key,
-                0,
-                1,
-                self.cluster.canonical_views(),
-                &mut placed,
-            );
-            let loc = placed.first().copied();
-            self.placed_buf = placed;
-            return loc;
-        }
-        self.cluster.volume_views_into(&mut self.views_buf);
-        let mut canonical = true;
         if self.faults.has_partitions() {
+            self.cluster.volume_views_into(&mut self.views_buf);
             let faults = &self.faults;
             let before = self.views_buf.len();
             self.views_buf.retain(|v| !faults.is_partitioned(v.node));
-            canonical = self.views_buf.len() == before;
+            if self.views_buf.len() != before {
+                return self
+                    .placement
+                    .place(key, 0, 1, &self.views_buf)
+                    .first()
+                    .copied();
+            }
         }
-        if canonical {
-            let mut placed = std::mem::take(&mut self.placed_buf);
-            self.placement.place_cached_into(
-                &mut self.placement_cache,
-                self.cluster.generation(),
-                key,
-                0,
-                1,
-                &self.views_buf,
-                &mut placed,
-            );
-            let loc = placed.first().copied();
-            self.placed_buf = placed;
-            loc
-        } else {
-            self.placement
-                .place(key, 0, 1, &self.views_buf)
-                .first()
-                .copied()
-        }
+        // No storage node is hidden: look up against the cluster's
+        // canonical views cache directly, no per-op copy.
+        let generation = self.cluster.generation();
+        let mut placed = std::mem::take(&mut self.placed_buf);
+        self.placement.place_cached_into(
+            &mut self.placement_cache,
+            generation,
+            key,
+            0,
+            1,
+            self.cluster.canonical_views(),
+            &mut placed,
+        );
+        let loc = placed.first().copied();
+        self.placed_buf = placed;
+        loc
     }
 
     fn do_rename(&mut self, from: &str, to: &str) -> SimResult<ReqOutcome> {
         let moved_file = self.ns.rename(from, to)?;
         if let Some(fid) = moved_file {
             let new_key = hash_str(to);
+            if let Some(meta) = self.cluster.file_mut(fid) {
+                meta.key = new_key;
+            }
             if self.cfg.flavor == Flavor::GlusterFs {
                 // DHT semantics: data stays put; if the new hash location
                 // differs from where the data lives, a linkfile appears at
                 // the hash location.
-                let hash_loc = self.hash_location(new_key);
-                if let Some(meta) = self.cluster.file_mut(fid) {
-                    meta.key = new_key;
-                    let data_at: Vec<VolumeId> = meta.replicas.iter().map(|r| r.volume).collect();
-                    meta.linkfile_at = match hash_loc {
-                        Some(h) if !data_at.contains(&h) => Some(h),
-                        _ => None,
-                    };
-                }
-            } else if let Some(meta) = self.cluster.file_mut(fid) {
-                meta.key = new_key;
+                self.recompute_linkfile(fid, new_key);
             }
         }
         Ok(ReqOutcome::default())
+    }
+
+    /// Points `fid`'s linkfile at the hash location of `key` when no
+    /// replica lives there, and clears it otherwise.
+    fn recompute_linkfile(&mut self, fid: FileId, key: u64) {
+        let hash_loc = self.hash_location(key);
+        if let Some(meta) = self.cluster.file_mut(fid) {
+            meta.linkfile_at = match hash_loc {
+                Some(h) if !meta.replicas.iter().any(|r| r.volume == h) => Some(h),
+                _ => None,
+            };
+        }
     }
 
     fn charge_read(&mut self, fid: FileId) {
@@ -1295,9 +1271,14 @@ impl DfsSim {
         let Some(meta) = self.cluster.files().get(&m.file) else {
             return;
         };
-        if !meta.replicas.iter().any(|r| r.volume == m.from) {
+        let Some(moved) = meta
+            .replicas
+            .iter()
+            .find(|r| r.volume == m.from)
+            .map(|r| r.bytes)
+        else {
             return;
-        }
+        };
         let key = meta.key;
         let had_link = meta.linkfile_at.is_some();
         let now = self.clock.now();
@@ -1338,83 +1319,9 @@ impl DfsSim {
                 _ => None,
             })
             .unwrap_or(0);
-        let kept = lossy_kept(m.bytes, bug_loss.max(self.faults.loss_pct()));
+        let kept = lossy_kept(m.bytes, bug_loss.max(self.faults.loss_pct())).min(moved);
 
-        // With crash-point instrumentation armed, the move runs as
-        // enumerable micro-steps instead of one atomic transition. The
-        // disarmed hot path below is byte-identical to the
-        // pre-instrumentation behaviour (a single branch away).
-        if self.crash.armed() {
-            self.execute_move_interruptible(m, key, had_link, cache_hit, kept);
-            return;
-        }
-
-        match self.cluster.migrate(m.file, m.from, m.to, kept) {
-            Ok(moved) => {
-                self.stats.migrations += 1;
-                self.stats.bytes_migrated += moved;
-                self.balancer.total_moves += 1;
-                self.balancer.total_bytes_moved += moved;
-                if moved > kept {
-                    self.stats.bytes_lost += moved - kept;
-                }
-                // Gluster hash-cache bookkeeping + linkfile maintenance.
-                if self.cfg.hash_cache_ttl_ms > 0 {
-                    self.hash_cache
-                        .insert(key, now.advanced(self.cfg.hash_cache_ttl_ms));
-                    let hash_loc = self.hash_location(key);
-                    if let Some(meta) = self.cluster.file_mut(m.file) {
-                        let data_at: Vec<VolumeId> =
-                            meta.replicas.iter().map(|r| r.volume).collect();
-                        meta.linkfile_at = match hash_loc {
-                            Some(h) if !data_at.contains(&h) => Some(h),
-                            _ => None,
-                        };
-                    }
-                }
-                // IO/CPU accounting for both ends of the move.
-                self.charge_storage_write(m.to);
-                let now = self.clock.now();
-                if let Some(load) = self.cluster.storage_load_mut(m.from_node) {
-                    load.read_io.add(now, 1.0);
-                    load.cpu.add(now, 1.0);
-                }
-            }
-            Err(_) => {
-                // Destination filled up meanwhile; the move is dropped, as
-                // a real balancer iteration would skip it.
-            }
-        }
-        let ev = SimEvent::MigrationStep {
-            cache_hit,
-            had_link,
-        };
-        self.feed_bugs(&ev);
-        let variance_bucket = self.variance_bucket();
-        self.touch_deep(
-            mix(0x4D16, (cache_hit as u64) << 1 | had_link as u64),
-            variance_bucket,
-        );
-    }
-
-    // ------------------------------------------------------------------
-    // Crash-point exploration (see crate::crash)
-    // ------------------------------------------------------------------
-
-    /// The armed variant of the atomic migrate-and-account tail of
-    /// [`DfsSim::execute_move`]: the same state transitions as enumerable
-    /// micro-steps with a crash point after each. Composed with no crash
-    /// firing, the result is byte-identical to the atomic path (pinned by
-    /// a differential test).
-    fn execute_move_interruptible(
-        &mut self,
-        m: &MigrationMove,
-        key: u64,
-        had_link: bool,
-        cache_hit: bool,
-        kept: Bytes,
-    ) {
-        self.run_move_microsteps(m, key, kept);
+        self.run_move_microsteps(m, key, moved, kept);
         if self.crash.in_flight.is_some() {
             // The victim died mid-move: no step event is emitted — the
             // balancer never hears back, like a lost RPC.
@@ -1432,22 +1339,15 @@ impl DfsSim {
         );
     }
 
-    fn run_move_microsteps(&mut self, m: &MigrationMove, key: u64, kept: Bytes) {
-        // Stale-plan and capacity validation mirrors the atomic path: the
-        // source replica size caps `kept`, and one up-front space check
-        // drops the move when the destination cannot take it.
-        let Some(meta) = self.cluster.files().get(&m.file) else {
-            return;
-        };
-        let Some(moved) = meta
-            .replicas
-            .iter()
-            .find(|r| r.volume == m.from)
-            .map(|r| r.bytes)
-        else {
-            return;
-        };
-        let kept = kept.min(moved);
+    // ------------------------------------------------------------------
+    // Crash-point exploration (see crate::crash)
+    // ------------------------------------------------------------------
+
+    /// Moves the `moved`-byte source replica as enumerable micro-steps,
+    /// landing `kept` bytes on the destination, with a crash point after
+    /// each step. A destination that cannot take `kept` drops the move,
+    /// as a real balancer iteration would skip it.
+    fn run_move_microsteps(&mut self, m: &MigrationMove, key: u64, moved: Bytes, kept: Bytes) {
         if self.cluster.volume(m.to).is_none_or(|v| v.free() < kept) {
             return;
         }
@@ -1459,8 +1359,8 @@ impl DfsSim {
         for i in 0..frags {
             let share = fragment_bytes(kept, frags, i);
             if self.cluster.migrate_copy(m.to, share).is_err() {
-                // Unreachable after the up-front check; drop the move like
-                // the atomic error path, leaving no partial state behind.
+                // Unreachable after the up-front check; drop the move,
+                // leaving no partial state behind.
                 self.cluster.migrate_rollback_copy(m.to, copied);
                 return;
             }
@@ -1495,7 +1395,8 @@ impl DfsSim {
         ) {
             return;
         }
-        // Cleanup bookkeeping, identical to the atomic path's success arm.
+        // Cleanup: move statistics, Gluster hash-cache bookkeeping and
+        // linkfile maintenance, then IO/CPU accounting for both ends.
         self.stats.migrations += 1;
         self.stats.bytes_migrated += moved;
         self.balancer.total_moves += 1;
@@ -1507,14 +1408,7 @@ impl DfsSim {
         if self.cfg.hash_cache_ttl_ms > 0 {
             self.hash_cache
                 .insert(key, now.advanced(self.cfg.hash_cache_ttl_ms));
-            let hash_loc = self.hash_location(key);
-            if let Some(meta) = self.cluster.file_mut(m.file) {
-                let data_at: Vec<VolumeId> = meta.replicas.iter().map(|r| r.volume).collect();
-                meta.linkfile_at = match hash_loc {
-                    Some(h) if !data_at.contains(&h) => Some(h),
-                    _ => None,
-                };
-            }
+            self.recompute_linkfile(m.file, key);
         }
         self.charge_storage_write(m.to);
         if let Some(load) = self.cluster.storage_load_mut(m.from_node) {
@@ -1536,17 +1430,19 @@ impl DfsSim {
         kept: Bytes,
         key: u64,
     ) -> bool {
+        // Disarmed, the normal case: a crash point changes no state.
+        let Some(plan) = self.crash.plan else {
+            return false;
+        };
         let idx = self.crash.points_seen;
         self.crash.points_seen += 1;
-        match self.crash.plan {
-            // Unreachable: only the armed micro-step path calls this.
-            None => false,
-            Some(CrashPlan::Enumerate) => {
+        match plan {
+            CrashPlan::Enumerate => {
                 let label = format!("{} f{} {}->{}", step.label(), m.file, m.from, m.to);
                 self.crash.labels.push(label);
                 false
             }
-            Some(CrashPlan::At(k)) => {
+            CrashPlan::At(k) => {
                 if idx != k {
                     return false;
                 }
@@ -1579,10 +1475,9 @@ impl DfsSim {
         }
     }
 
-    /// Arms crash-point enumeration: migration execution switches to the
-    /// micro-step path and counts + labels every crash point it passes,
-    /// crashing nothing. Drive time forward, then read the labels back
-    /// with [`DfsSim::disarm_crash`].
+    /// Arms crash-point enumeration: migration execution counts and
+    /// labels every crash point it passes, crashing nothing. Drive time
+    /// forward, then read the labels back with [`DfsSim::disarm_crash`].
     pub fn arm_crash_enumeration(&mut self) {
         self.crash = CrashRuntime {
             plan: Some(CrashPlan::Enumerate),
@@ -3261,8 +3156,8 @@ mod tests {
 
     #[test]
     fn armed_enumeration_is_behaviour_transparent() {
-        // The micro-step path composed with no crash must be
-        // byte-identical to the atomic fast path.
+        // Both runs take the same micro-steps; capturing the labels of
+        // the crash points passed must not change any state.
         let mut plain = crashable_sim();
         let mut armed = crashable_sim();
         armed.arm_crash_enumeration();

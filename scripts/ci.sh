@@ -55,9 +55,12 @@ run env CARGO_TARGET_DIR=.bench_build cargo test --release --offline \
 # the clone-reference test is the only check of journal rewinds without
 # debug_assertions. The coverage bitset and the max tracker are checked
 # against their ordered-set references here too, with overflow checks
-# compiled out of the bit arithmetic and the u128 sums.
+# compiled out of the bit arithmetic and the u128 sums. Every balancer
+# move runs the migration micro-steps, so their composition is checked
+# against the atomic reference migrate with overflow checks off as well.
 run cargo test --release --offline -p simdfs -q -- release_oracle runtime_audit clone_reference \
-    coverage_matches_btreeset_reference tracker_equals_recomputation_after_random_walk
+    coverage_matches_btreeset_reference tracker_equals_recomputation_after_random_walk \
+    microsteps_match_atomic_migrate
 
 if [[ "${1:-}" != "--no-bench" ]]; then
     # Capture the committed baseline throughput BEFORE the bench run
