@@ -99,7 +99,8 @@ pub struct DfsSim {
     /// Precomputed placement structures keyed off the cluster's topology
     /// generation (rings, weight tables) plus scoring scratch buffers.
     placement_cache: PlacementCache,
-    /// Reusable canonical volume-view buffer for the placement hot path.
+    /// Reusable volume-view buffer for filtered placement and
+    /// re-replication.
     views_buf: Vec<VolumeView>,
     /// Reusable per-block placement output buffer.
     placed_buf: Placement,
@@ -2769,6 +2770,11 @@ mod tests {
         armed.arm_crash_enumeration();
         drive_window(&mut plain, 60);
         drive_window(&mut armed, 60);
+        assert_eq!(
+            plain.crash_points_seen(),
+            0,
+            "disarmed points count nothing"
+        );
         let labels = armed.disarm_crash();
         assert!(!labels.is_empty(), "the window must pass crash points");
         assert_eq!(fingerprint(&plain), fingerprint(&armed));
