@@ -154,6 +154,12 @@ impl NodeArena {
         &self.hot
     }
 
+    /// Write access to the hot columns, for tests that corrupt them.
+    #[cfg(test)]
+    pub(crate) fn hot_rows_mut(&mut self) -> &mut [NodeHot] {
+        &mut self.hot
+    }
+
     /// `(id, hot row)` for every storage node, in id order.
     pub fn hot_iter(&self) -> impl Iterator<Item = (NodeId, &NodeHot)> + '_ {
         self.slots

@@ -94,8 +94,8 @@ impl Balancer {
     /// Runs once per executed operation (the activation check), so it
     /// reads the cluster's streaming utilization stats in O(1) instead of
     /// walking every node. The eligibility filter is identical to the old
-    /// walk: `UtilTracker` entries exist exactly for the nodes
-    /// [`Self::fills`] would have returned (see `StorageNode::util_q`).
+    /// walk: `UtilTracker` entries exist exactly for the nodes the
+    /// planner's private `fills` returns (see `StorageNode::util_q`).
     pub fn needs_rebalance(&self, cluster: &Cluster) -> bool {
         cluster.util_stats().is_imbalanced(self.threshold)
     }

@@ -573,17 +573,21 @@ impl Cluster {
     /// a long-lived buffer once per executed operation.
     pub fn volume_views_into(&self, views: &mut Vec<VolumeView>) {
         views.clear();
-        for node in self.storage.values().filter(|n| n.online) {
-            for v in &node.volumes {
-                views.push(VolumeView {
-                    volume: v.id,
-                    node: node.id,
-                    capacity: v.capacity,
-                    used: v.used,
-                    online: true,
-                });
-            }
-        }
+        views.extend(self.volume_views_iter());
+    }
+
+    /// The views [`Cluster::volume_views`] returns, built one at a time
+    /// from the node tables.
+    fn volume_views_iter(&self) -> impl Iterator<Item = VolumeView> + '_ {
+        self.storage.values().filter(|n| n.online).flat_map(|node| {
+            node.volumes.iter().map(|v| VolumeView {
+                volume: v.id,
+                node: node.id,
+                capacity: v.capacity,
+                used: v.used,
+                online: true,
+            })
+        })
     }
 
     /// Stores `bytes` of file `fid` on `vol` as a new replica.
@@ -834,19 +838,6 @@ impl Cluster {
         }
     }
 
-    /// Bytes of `vol`'s incremental `used` counter accounted for by the
-    /// file table — the from-first-principles number [`Cluster::audit`]
-    /// compares against. The crash-consistency oracle uses the per-volume
-    /// form to classify which end of an interrupted migration leaked.
-    pub fn recomputed_used(&self, vol: VolumeId) -> Bytes {
-        self.files
-            .values()
-            .flat_map(|m| m.replicas.iter())
-            .filter(|r| r.volume == vol)
-            .map(|r| r.bytes)
-            .sum()
-    }
-
     /// Bytes stored per online storage node with at least one volume.
     ///
     /// Diskless nodes (all volumes detached) are excluded: they are out of
@@ -1019,37 +1010,92 @@ impl Cluster {
     /// First-principles audit of the incremental storage accounting.
     ///
     /// Every byte counter in the cluster is maintained incrementally
-    /// (`store`/`free_file`/`rescale_file`/`migrate` adjust `Volume::used`
-    /// in place, and snapshot restores rewind those adjustments through the
-    /// undo journal). This recomputes the per-volume totals from the one
-    /// ground truth — the file table — and cross-checks:
+    /// (`store`/`free_file`/`rescale_file`/the migration micro-steps
+    /// adjust `Volume::used` in place, and snapshot restores rewind those
+    /// adjustments through the undo journal). This recomputes the
+    /// per-volume totals from the one ground truth — the file table — and
+    /// cross-checks:
     ///
     /// * each volume's `used` equals the sum of replica bytes placed on it;
     /// * `used` never exceeds `capacity`;
     /// * every replica lands on a volume some storage node actually holds;
-    /// * `volume_owner` and the per-node volume lists agree both ways.
+    /// * `volume_owner` and the per-node volume lists agree both ways;
+    /// * the streaming utilization stats, the online count, the hot
+    ///   columns and a fresh canonical-views cache equal a rebuild from
+    ///   the node tables.
     ///
-    /// Returns a description of the first inconsistency found. Debug builds
-    /// run this automatically after every snapshot-fork restore (see
-    /// `DfsSim::restore`), guarding the undo log against drift.
+    /// Returns a description of the first inconsistency found. The
+    /// simulator runs it after every rewind when its runtime audit is on
+    /// (always in debug builds; in release builds when a caller such as
+    /// the crash explorer opts in through `DfsSim::set_runtime_audit`),
+    /// and the crash-consistency oracle runs it as its backstop.
     pub fn audit(&self) -> Result<(), String> {
-        let mut recomputed: BTreeMap<VolumeId, Bytes> = BTreeMap::new();
-        for (fid, meta) in &self.files {
-            for r in &meta.replicas {
-                let Some(owner) = self.volume_owner.get(&r.volume) else {
-                    return Err(format!(
-                        "file {fid:?} has a replica on unknown volume {:?}",
-                        r.volume
-                    ));
-                };
-                if !self.storage.contains_key(owner) {
-                    return Err(format!(
-                        "volume {:?} is owned by {owner:?}, which is not a storage node",
-                        r.volume
-                    ));
-                }
-                *recomputed.entry(r.volume).or_insert(0) += r.bytes;
+        self.audit_with(&self.file_table_usage())
+    }
+
+    /// One pass over the file table: the bytes it places on each volume,
+    /// and the first replica that sits on a volume no storage node holds
+    /// (see [`FileTableUsage`]).
+    pub(crate) fn file_table_usage(&self) -> FileTableUsage {
+        let mut per_volume: Vec<(Bytes, usize)> = vec![(0, 0); self.next_volume as usize];
+        for r in self.files.values().flat_map(|m| &m.replicas) {
+            let slot = r.volume.0 as usize;
+            if slot >= per_volume.len() {
+                // A replica on an id never handed out is still summed.
+                per_volume.resize(slot + 1, (0, 0));
             }
+            let (bytes, replicas) = &mut per_volume[slot];
+            *bytes += r.bytes;
+            *replicas += 1;
+        }
+        // Ownership belongs to the volume, so each volume holding replicas
+        // is checked once; only when one fails is the file table walked
+        // again for the first replica on it.
+        let misplaced = per_volume
+            .iter()
+            .enumerate()
+            .any(|(i, &(_, n))| n > 0 && !self.places_replicas(VolumeId(i as u32)));
+        let ownership_error = if misplaced {
+            self.files.iter().find_map(|(fid, meta)| {
+                let r = meta
+                    .replicas
+                    .iter()
+                    .find(|r| !self.places_replicas(r.volume))?;
+                Some(self.misplaced_replica(*fid, r.volume))
+            })
+        } else {
+            None
+        };
+        FileTableUsage {
+            per_volume,
+            ownership_error,
+        }
+    }
+
+    /// Whether `vol` is live and owned by a storage node.
+    fn places_replicas(&self, vol: VolumeId) -> bool {
+        self.volume_owner
+            .get(&vol)
+            .is_some_and(|owner| self.storage.contains_key(owner))
+    }
+
+    /// Why a replica of `fid` on `vol`, which does not place replicas, is
+    /// misplaced: the volume is not live, or its owner is not a storage
+    /// node.
+    fn misplaced_replica(&self, fid: crate::types::FileId, vol: VolumeId) -> String {
+        match self.volume_owner.get(&vol) {
+            None => format!("file {fid:?} has a replica on unknown volume {vol:?}"),
+            Some(owner) => {
+                format!("volume {vol:?} is owned by {owner:?}, which is not a storage node")
+            }
+        }
+    }
+
+    /// [`Cluster::audit`] against a file-table pass the caller already
+    /// made, so the crash oracle walks the file table once per check.
+    pub(crate) fn audit_with(&self, usage: &FileTableUsage) -> Result<(), String> {
+        if let Some(e) = &usage.ownership_error {
+            return Err(e.clone());
         }
         let mut vols_seen = 0usize;
         for (nid, node) in &self.storage {
@@ -1062,7 +1108,7 @@ impl Cluster {
                         self.volume_owner.get(&v.id)
                     ));
                 }
-                let expect = recomputed.get(&v.id).copied().unwrap_or(0);
+                let expect = usage.used(v.id);
                 if v.used != expect {
                     return Err(format!(
                         "volume {:?} on node {nid:?}: incremental used = {} bytes \
@@ -1088,16 +1134,12 @@ impl Cluster {
         // The streaming utilization stats and the online count are
         // maintained incrementally at every mutation site; rebuild both
         // from the node tables and fail on any drift.
-        let mut fresh = UtilTracker::new();
-        let mut online = 0usize;
-        for (nid, node) in &self.storage {
-            if node.online {
-                online += 1;
-            }
-            if let Some(q) = node.util_q() {
-                fresh.update(*nid, Some(q));
-            }
-        }
+        let fresh = UtilTracker::from_leaves(
+            self.storage.hot_rows().len(),
+            self.storage
+                .values()
+                .filter_map(|n| n.util_q().map(|q| (n.id, q))),
+        );
         if fresh != self.util_stats {
             return Err(format!(
                 "streaming utilization stats drifted from the node tables: \
@@ -1111,6 +1153,7 @@ impl Cluster {
                 fresh.max_q()
             ));
         }
+        let online = self.storage.values().filter(|n| n.online).count();
         if online != self.online_storage_nodes {
             return Err(format!(
                 "online storage count drifted: tracked {} but {} nodes are online",
@@ -1139,24 +1182,50 @@ impl Cluster {
             }
         }
         // A fresh canonical-views cache must agree with a from-scratch
-        // rebuild (fill mutations patch it in place).
-        if self.views_built == Some(self.generation) {
+        // rebuild (fill mutations patch it in place). The rebuild streams
+        // past the cache; only a mismatch collects it, for the message.
+        if self.views_built == Some(self.generation)
+            && !self
+                .volume_views_iter()
+                .eq(self.views_cache.iter().copied())
+        {
             let rebuilt = self.volume_views();
-            if rebuilt != self.views_cache {
-                return Err(format!(
-                    "canonical views cache drifted: {} cached vs {} rebuilt entries, \
-                     first mismatch {:?}",
-                    self.views_cache.len(),
-                    rebuilt.len(),
-                    rebuilt
-                        .iter()
-                        .zip(&self.views_cache)
-                        .find(|(a, b)| a != b)
-                        .map(|(a, _)| a.volume)
-                ));
-            }
+            return Err(format!(
+                "canonical views cache drifted: {} cached vs {} rebuilt entries, \
+                 first mismatch {:?}",
+                self.views_cache.len(),
+                rebuilt.len(),
+                rebuilt
+                    .iter()
+                    .zip(&self.views_cache)
+                    .find(|(a, b)| a != b)
+                    .map(|(a, _)| a.volume)
+            ));
         }
         Ok(())
+    }
+}
+
+/// Per-volume byte totals summed from the file table in one pass: the
+/// ground truth that [`Cluster::audit`] checks the incremental `used`
+/// counters against. The crash oracle makes one pass and hands it to both
+/// its scoped checks and its backstop audit.
+#[derive(Debug)]
+pub(crate) struct FileTableUsage {
+    /// Replica bytes and replica count per raw volume id (the layout of
+    /// `VolumeDirectory`), over every replica, valid or not.
+    per_volume: Vec<(Bytes, usize)>,
+    /// The first replica, in file order, on a volume that is not live or
+    /// is owned by a non-storage node.
+    ownership_error: Option<String>,
+}
+
+impl FileTableUsage {
+    /// Bytes the file table places on `vol`.
+    pub(crate) fn used(&self, vol: VolumeId) -> Bytes {
+        self.per_volume
+            .get(vol.0 as usize)
+            .map_or(0, |&(bytes, _)| bytes)
     }
 }
 
@@ -1164,6 +1233,150 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::types::FileId;
+
+    /// The test-only references the dense audit and the oracle's shared
+    /// file-table pass are checked against.
+    impl Cluster {
+        /// The audit as it stood with a `BTreeMap` of per-volume totals,
+        /// an allocated views rebuild and a tracker grown by `update`.
+        fn audit_btreemap_reference(&self) -> Result<(), String> {
+            let mut recomputed: BTreeMap<VolumeId, Bytes> = BTreeMap::new();
+            for (fid, meta) in &self.files {
+                for r in &meta.replicas {
+                    let Some(owner) = self.volume_owner.get(&r.volume) else {
+                        return Err(format!(
+                            "file {fid:?} has a replica on unknown volume {:?}",
+                            r.volume
+                        ));
+                    };
+                    if !self.storage.contains_key(owner) {
+                        return Err(format!(
+                            "volume {:?} is owned by {owner:?}, which is not a storage node",
+                            r.volume
+                        ));
+                    }
+                    *recomputed.entry(r.volume).or_insert(0) += r.bytes;
+                }
+            }
+            let mut vols_seen = 0usize;
+            for (nid, node) in &self.storage {
+                for v in &node.volumes {
+                    vols_seen += 1;
+                    if self.volume_owner.get(&v.id) != Some(nid) {
+                        return Err(format!(
+                            "volume {:?} listed on node {nid:?} but volume_owner says {:?}",
+                            v.id,
+                            self.volume_owner.get(&v.id)
+                        ));
+                    }
+                    let expect = recomputed.get(&v.id).copied().unwrap_or(0);
+                    if v.used != expect {
+                        return Err(format!(
+                            "volume {:?} on node {nid:?}: incremental used = {} bytes \
+                             but the file table accounts for {} bytes",
+                            v.id, v.used, expect
+                        ));
+                    }
+                    if v.used > v.capacity {
+                        return Err(format!(
+                            "volume {:?} on node {nid:?}: used {} exceeds capacity {}",
+                            v.id, v.used, v.capacity
+                        ));
+                    }
+                }
+            }
+            if vols_seen != self.volume_owner.len() {
+                return Err(format!(
+                    "volume_owner tracks {} volumes but storage nodes hold {}",
+                    self.volume_owner.len(),
+                    vols_seen
+                ));
+            }
+            // The streaming utilization stats and the online count are
+            // maintained incrementally at every mutation site; rebuild both
+            // from the node tables and fail on any drift.
+            let mut fresh = UtilTracker::new();
+            let mut online = 0usize;
+            for (nid, node) in &self.storage {
+                if node.online {
+                    online += 1;
+                }
+                if let Some(q) = node.util_q() {
+                    fresh.update(*nid, Some(q));
+                }
+            }
+            if fresh != self.util_stats {
+                return Err(format!(
+                    "streaming utilization stats drifted from the node tables: \
+                     tracked {} nodes Σq={} max={:?} but recomputation gives \
+                     {} nodes Σq={} max={:?}",
+                    self.util_stats.count(),
+                    self.util_stats.sum_q(),
+                    self.util_stats.max_q(),
+                    fresh.count(),
+                    fresh.sum_q(),
+                    fresh.max_q()
+                ));
+            }
+            if online != self.online_storage_nodes {
+                return Err(format!(
+                    "online storage count drifted: tracked {} but {} nodes are online",
+                    self.online_storage_nodes, online
+                ));
+            }
+            // The SoA hot columns (online/volumes/used/capacity per arena slot)
+            // feed totals and placement scans; recompute every row from the
+            // node structs and require empty slots to hold the default row.
+            let hot = self.storage.hot_rows();
+            for (nid, node) in &self.storage {
+                let want = NodeHot::of(node);
+                let got = hot.get(nid.0 as usize).copied().unwrap_or_default();
+                if got != want {
+                    return Err(format!(
+                        "hot columns drifted for node {nid:?}: row {got:?} \
+                         but the node recomputes to {want:?}"
+                    ));
+                }
+            }
+            for (i, row) in hot.iter().enumerate() {
+                if self.storage.get(&NodeId(i as u32)).is_none() && *row != NodeHot::default() {
+                    return Err(format!(
+                        "empty arena slot {i} holds a non-default hot row {row:?}"
+                    ));
+                }
+            }
+            // A fresh canonical-views cache must agree with a from-scratch
+            // rebuild (fill mutations patch it in place).
+            if self.views_built == Some(self.generation) {
+                let rebuilt = self.volume_views();
+                if rebuilt != self.views_cache {
+                    return Err(format!(
+                        "canonical views cache drifted: {} cached vs {} rebuilt entries, \
+                         first mismatch {:?}",
+                        self.views_cache.len(),
+                        rebuilt.len(),
+                        rebuilt
+                            .iter()
+                            .zip(&self.views_cache)
+                            .find(|(a, b)| a != b)
+                            .map(|(a, _)| a.volume)
+                    ));
+                }
+            }
+            Ok(())
+        }
+
+        /// Bytes on `vol` summed by its own full file-table scan, as the
+        /// crash oracle computed them per checked volume.
+        fn recomputed_used(&self, vol: VolumeId) -> Bytes {
+            self.files
+                .values()
+                .flat_map(|m| m.replicas.iter())
+                .filter(|r| r.volume == vol)
+                .map(|r| r.bytes)
+                .sum()
+        }
+    }
 
     fn cluster_with(nodes: u32, vols_per: u32, cap: Bytes) -> Cluster {
         let mut c = Cluster::new();
@@ -1759,5 +1972,272 @@ mod tests {
         c.util_stats.update(owner, Some(0));
         let err = c.audit().unwrap_err();
         assert!(err.contains("streaming"), "unexpected message: {err}");
+    }
+
+    /// Requires [`Cluster::audit`] to give the reference's verdict, the
+    /// same `Ok` or the same error string, and the shared file-table pass
+    /// to give the reference per-volume totals on every volume id,
+    /// including ids past `next_volume`. Returns the verdict.
+    fn matches_reference(c: &Cluster, at: &str) -> Result<(), String> {
+        let want = c.audit_btreemap_reference();
+        assert_eq!(c.audit(), want, "{at}");
+        let usage = c.file_table_usage();
+        for vol in (0..c.next_volume + 4).map(VolumeId) {
+            assert_eq!(usage.used(vol), c.recomputed_used(vol), "{at}: {vol:?}");
+        }
+        want
+    }
+
+    /// The first volume holding data, with its owner.
+    fn data_volume(c: &Cluster) -> (NodeId, VolumeId) {
+        c.storage
+            .values()
+            .flat_map(|n| n.volumes.iter().map(move |v| (n.id, v)))
+            .find(|(_, v)| v.used > 0)
+            .map(|(n, v)| (n, v.id))
+            .expect("some volume holds data")
+    }
+
+    /// A replica of the first file holding data moved onto `vol`.
+    fn misplace_replica(c: &mut Cluster, vol: VolumeId) {
+        let fid = c
+            .files
+            .iter()
+            .find(|(_, m)| !m.replicas.is_empty())
+            .map(|(&fid, _)| fid)
+            .expect("some file holds data");
+        // detlint:allow(journal-coverage): deliberate file-table corruption for the audit differential
+        c.files.get_mut(&fid).unwrap().replicas.push(Replica {
+            volume: vol,
+            bytes: 7,
+        });
+    }
+
+    /// Two tracked nodes at different utilizations, for a leaf swap that
+    /// keeps the count, both sums and the maximum.
+    fn unequal_pair(c: &Cluster) -> ((NodeId, u64), (NodeId, u64)) {
+        let tracked: Vec<(NodeId, u64)> = c
+            .storage
+            .keys()
+            .filter_map(|&n| c.util_stats.get(n).map(|q| (n, q)))
+            .collect();
+        let a = tracked[0];
+        let b = *tracked
+            .iter()
+            .find(|(_, q)| *q != a.1)
+            .expect("unequal fills");
+        (a, b)
+    }
+
+    /// A named corruption, applied to its own copy of a cluster.
+    type Corruption = (&'static str, fn(&mut Cluster));
+
+    /// Every corruption of the differential test.
+    fn corruptions() -> Vec<Corruption> {
+        vec![
+            ("used one above the file table", |c| {
+                let (n, v) = data_volume(c);
+                // detlint:allow(journal-coverage): deliberate counter corruption for the audit differential
+                c.storage.get_mut(&n).unwrap().volume_mut(v).unwrap().used += 1;
+            }),
+            ("used one below the file table", |c| {
+                let (n, v) = data_volume(c);
+                // detlint:allow(journal-coverage): deliberate counter corruption for the audit differential
+                c.storage.get_mut(&n).unwrap().volume_mut(v).unwrap().used -= 1;
+            }),
+            ("replica on the lowest id volume_owner lacks", |c| {
+                let vol = (0..)
+                    .map(VolumeId)
+                    .find(|v| !c.volume_owner.contains_key(v))
+                    .unwrap();
+                misplace_replica(c, vol);
+            }),
+            ("replica at next_volume", |c| {
+                misplace_replica(c, VolumeId(c.next_volume))
+            }),
+            ("replica past next_volume", |c| {
+                misplace_replica(c, VolumeId(c.next_volume + 3))
+            }),
+            ("volume holding data dropped from volume_owner", |c| {
+                let (_, v) = data_volume(c);
+                // detlint:allow(journal-coverage): deliberate ownership corruption for the audit differential
+                c.volume_owner.remove(&v);
+            }),
+            ("volume holding data owned by a management node", |c| {
+                let (_, v) = data_volume(c);
+                let m = *c.mgmt.keys().next().unwrap();
+                // detlint:allow(journal-coverage): deliberate ownership corruption for the audit differential
+                c.volume_owner.insert(v, m);
+            }),
+            ("used above capacity with the file table agreeing", |c| {
+                let (n, v) = data_volume(c);
+                // detlint:allow(journal-coverage): deliberate capacity corruption for the audit differential
+                let vol = c.storage.get_mut(&n).unwrap().volume_mut(v).unwrap();
+                vol.capacity = vol.used - 1;
+            }),
+            ("volume_owner names another storage node", |c| {
+                let last = c.storage.values().last().unwrap();
+                let (vol, owner) = (last.volumes[0].id, last.id);
+                let other = *c.storage.keys().find(|&&n| n != owner).unwrap();
+                // detlint:allow(journal-coverage): deliberate ownership corruption for the audit differential
+                c.volume_owner.insert(vol, other);
+            }),
+            ("volume_owner lacks a listed volume", |c| {
+                let vol = c.storage.values().last().unwrap().volumes[0].id;
+                // detlint:allow(journal-coverage): deliberate ownership corruption for the audit differential
+                c.volume_owner.remove(&vol);
+            }),
+            ("volume_owner tracks a volume no node lists", |c| {
+                let n = *c.storage.keys().next().unwrap();
+                // detlint:allow(journal-coverage): deliberate ownership corruption for the audit differential
+                c.volume_owner.insert(VolumeId(c.next_volume), n);
+            }),
+            ("tracker leaves of two nodes swapped", |c| {
+                let ((a, qa), (b, qb)) = unequal_pair(c);
+                c.util_stats.update(a, Some(qb));
+                c.util_stats.update(b, Some(qa));
+            }),
+            ("tracker leaf one quantum up", |c| {
+                let ((a, qa), _) = unequal_pair(c);
+                c.util_stats.update(a, Some(qa + 1));
+            }),
+            ("tracker sum one quantum up", |c| {
+                c.util_stats.corrupt_sum_for_test()
+            }),
+            ("tracker root one quantum down", |c| {
+                c.util_stats.corrupt_root_for_test()
+            }),
+            ("online count one up", |c| c.online_storage_nodes += 1),
+            ("hot row of a live node drifted", |c| {
+                let n = c.storage.keys().last().unwrap().0 as usize;
+                // detlint:allow(journal-coverage): deliberate hot-column corruption for the audit differential
+                c.storage.hot_rows_mut()[n].used += 1;
+            }),
+            ("non-default hot row in an empty arena slot", |c| {
+                let hole = (0..c.storage.hot_rows().len())
+                    .find(|&i| c.storage.get(&NodeId(i as u32)).is_none())
+                    .expect("an empty arena slot");
+                // detlint:allow(journal-coverage): deliberate hot-column corruption for the audit differential
+                c.storage.hot_rows_mut()[hole].capacity = 1;
+            }),
+            ("fresh views cache entry changed", |c| {
+                let mid = c.canonical_views().len() / 2;
+                // detlint:allow(journal-coverage): deliberate views-cache corruption for the audit differential
+                c.views_cache[mid].used += 1;
+            }),
+            ("fresh views cache entry added", |c| {
+                let first = c.canonical_views()[0];
+                // detlint:allow(journal-coverage): deliberate views-cache corruption for the audit differential
+                c.views_cache.push(first);
+            }),
+            ("fresh views cache entry missing", |c| {
+                let _ = c.canonical_views();
+                // detlint:allow(journal-coverage): deliberate views-cache corruption for the audit differential
+                c.views_cache.pop();
+            }),
+        ]
+    }
+
+    /// Checks `c` itself and every corruption of a copy of it against the
+    /// reference; each corruption must fail the reference.
+    fn corrupt_each(c: &Cluster, at: &str) {
+        let _ = matches_reference(c, at);
+        let mut fresh = c.clone();
+        let _ = fresh.canonical_views();
+        let _ = matches_reference(&fresh, &format!("{at}, views cache fresh"));
+        for (name, corrupt) in corruptions() {
+            let mut bad = c.clone();
+            corrupt(&mut bad);
+            let verdict = matches_reference(&bad, &format!("{at}: {name}"));
+            assert!(verdict.is_err(), "{at}: {name} passed the reference audit");
+        }
+    }
+
+    #[test]
+    fn audit_matches_btreemap_reference() {
+        use crate::flavor::Flavor;
+        use crate::request::DfsRequest;
+        use crate::sim::{BugSet, DfsSim};
+        use crate::types::MIB;
+
+        /// Runs one request, then checks the clean state against the
+        /// reference; returns whether the request succeeded.
+        fn step(s: &mut DfsSim, req: DfsRequest, at: &str) -> bool {
+            let ok = s.execute(&req).is_ok();
+            matches_reference(s.cluster(), &format!("{at}: {req:?}")).unwrap();
+            ok
+        }
+        /// Enumerates a rebalance window from the mark, then crashes at
+        /// the first point whose label starts with `step`.
+        fn crash_at_first(s: &mut DfsSim, mark: u64, step: &str) {
+            let drive = |s: &mut DfsSim| {
+                s.rebalance();
+                for _ in 0..60 {
+                    if s.crashed_in_flight().is_some() {
+                        return;
+                    }
+                    s.tick(1_500);
+                }
+            };
+            s.arm_crash_enumeration();
+            drive(s);
+            let labels = s.disarm_crash();
+            let k = labels.iter().position(|l| l.starts_with(step));
+            let k = k.unwrap_or_else(|| panic!("no '{step}' point in {labels:?}"));
+            assert!(s.restore(mark));
+            s.arm_crash_at(k as u64);
+            drive(s);
+            s.disarm_crash();
+            assert!(s.crashed_in_flight().is_some(), "the '{step}' crash fired");
+        }
+
+        let add = || DfsRequest::AddStorageNode {
+            volumes: 2,
+            capacity: 4 << 30,
+        };
+        for flavor in Flavor::all() {
+            let at = format!("{flavor:?}");
+            let mut s = DfsSim::new(flavor, BugSet::None);
+            for i in 0..30 {
+                let size = (12 + i % 9) * MIB;
+                let path = format!("/f{i}");
+                assert!(step(&mut s, DfsRequest::Create { path, size }, &at));
+            }
+            // A crash in the window the first node add opens: the victim
+            // offline mid-move, then restarted; and a mid-copy crash whose
+            // recovery leaves orphan bytes, so the corruptions also meet a
+            // state that already fails.
+            assert!(step(&mut s, add(), &at));
+            let mark = s.fork();
+            crash_at_first(&mut s, mark, "plan");
+            corrupt_each(s.cluster(), &format!("{at} crashed at plan"));
+            s.recover_crashed_machine().unwrap();
+            matches_reference(s.cluster(), &at).expect("a plan crash recovers clean");
+            corrupt_each(s.cluster(), &format!("{at} recovered from plan"));
+            assert!(s.restore(mark));
+            crash_at_first(&mut s, mark, "copy");
+            s.recover_crashed_machine().unwrap();
+            let orphan = matches_reference(s.cluster(), &at);
+            assert!(orphan.is_err(), "{at}: a copy crash leaves orphan bytes");
+            corrupt_each(s.cluster(), &format!("{at} recovered from copy"));
+            assert!(s.restore(mark));
+            s.release(mark);
+
+            // Node adds, up to the flavor's limit.
+            while step(&mut s, add(), &at) {}
+            corrupt_each(s.cluster(), &format!("{at} after node adds"));
+
+            // Removals that leave id holes: a volume, then storage nodes
+            // replaced by fresh ids until the arena spans 18 slots.
+            let last = s.cluster().storage.values().last().unwrap();
+            let volume = last.volumes[0].id;
+            assert!(step(&mut s, DfsRequest::RemoveVolume { volume }, &at));
+            while s.cluster().storage.hot_rows().len() <= 17 {
+                let node = s.cluster().online_storage()[0];
+                assert!(step(&mut s, DfsRequest::RemoveStorageNode { node }, &at));
+                assert!(step(&mut s, add(), &at));
+            }
+            corrupt_each(s.cluster(), &format!("{at} after removals"));
+        }
     }
 }

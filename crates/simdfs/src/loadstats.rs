@@ -61,10 +61,13 @@ pub fn quantize(used: Bytes, capacity: Bytes) -> u64 {
 pub struct UtilTracker {
     /// Max tree as an implicit binary heap: `tree[1]` is the root, node
     /// `i` has children `2i` and `2i + 1`, and the leaf of raw node id `n`
-    /// is `tree[width + n]`, where `width = tree.len() / 2` is a power of
-    /// two. Leaves hold `q + 1` for a tracked node and 0 for an untracked
-    /// slot; every interior node holds the larger of its two children, so
-    /// 0 means an empty subtree.
+    /// is `tree[width + n]`, where `width = tree.len() / 2`. Leaves hold
+    /// `q + 1` for a tracked node and 0 for an untracked slot; every
+    /// interior node holds the larger of its two children, so 0 means an
+    /// empty subtree. `update` widens to powers of two;
+    /// [`UtilTracker::from_leaves`] uses the exact slot count, since every
+    /// index in `2..2·width` reaches the root through its parents whatever
+    /// the width.
     tree: Vec<u64>,
     /// Number of tracked (eligible) nodes.
     live: usize,
@@ -98,6 +101,31 @@ impl UtilTracker {
     /// An empty tracker.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A tracker over `slots` node-id slots holding exactly `leaves`, in
+    /// one allocation: the leaves are written in place and the interior
+    /// maxima computed once, bottom-up. The audit's from-scratch
+    /// recomputation; it shares no code with [`UtilTracker::update`]'s
+    /// ancestor walk. Panics if a leaf's id is not below `slots`.
+    pub(crate) fn from_leaves(
+        slots: usize,
+        leaves: impl IntoIterator<Item = (NodeId, u64)>,
+    ) -> Self {
+        let mut t = UtilTracker {
+            tree: vec![0; 2 * slots],
+            ..Self::default()
+        };
+        for (node, q) in leaves {
+            t.tree[slots + node.0 as usize] = q + 1;
+            t.live += 1;
+            t.sum += q as u128;
+            t.sum_sq += (q as u128) * (q as u128);
+        }
+        for i in (1..slots).rev() {
+            t.tree[i] = t.tree[2 * i].max(t.tree[2 * i + 1]);
+        }
+        t
     }
 
     /// Number of leaves (node-id slots) the tree spans.
@@ -251,6 +279,13 @@ impl UtilTracker {
     #[cfg(test)]
     pub(crate) fn corrupt_root_for_test(&mut self) {
         self.tree[1] -= 1;
+    }
+
+    /// Raises Σq by one quantum and nothing else: leaves, count, Σq² and
+    /// the maximum stay right.
+    #[cfg(test)]
+    pub(crate) fn corrupt_sum_for_test(&mut self) {
+        self.sum += 1;
     }
 }
 
@@ -504,6 +539,16 @@ mod tests {
                 fresh.update(id, Some(q));
             }
             assert_eq!(t, fresh, "step {step}");
+            // The one-shot rebuild at the exact slot count, rarely a power
+            // of two, equals the walked tracker and reports its extremes.
+            let slots = shadow.keys().next_back().map_or(0, |n| n.0 as usize + 1);
+            let built = UtilTracker::from_leaves(slots, shadow.iter().map(|(&n, &q)| (n, q)));
+            assert_eq!(built, t, "step {step}");
+            assert_eq!(
+                (built.max_q(), built.min_q()),
+                (t.max_q(), t.min_q()),
+                "step {step}"
+            );
 
             let n = shadow.len();
             let sum: u128 = shadow.values().map(|&q| q as u128).sum();

@@ -318,13 +318,15 @@ impl DfsSim {
     /// principles and classifies any violation into the seeded
     /// crash-window classes. Runs in every build profile — it is the
     /// release-mode face of [`DfsSim::audit_state`], which backstops the
-    /// scoped checks here.
+    /// scoped checks here. One pass over the file table feeds both the
+    /// scoped byte checks and the backstop.
     pub fn check_crash_invariants(&mut self) -> Result<(), CrashViolation> {
+        let usage = self.cluster.file_table_usage();
         if let Some(inf) = self.crash.recovered.clone() {
             // Destination first: bytes present on disk that the file table
             // does not account for are an orphaned partial copy.
             let to_used = self.cluster.volume(inf.mv.to).map_or(0, |v| v.used);
-            let to_expect = self.cluster.recomputed_used(inf.mv.to);
+            let to_expect = usage.used(inf.mv.to);
             if to_used > to_expect {
                 return Err(CrashViolation {
                     class: CrashClass::OrphanReplica,
@@ -342,7 +344,7 @@ impl DfsSim {
             // Source next: space still charged for a replica the file
             // table re-pointed elsewhere means the bytes count twice.
             let from_used = self.cluster.volume(inf.mv.from).map_or(0, |v| v.used);
-            let from_expect = self.cluster.recomputed_used(inf.mv.from);
+            let from_expect = usage.used(inf.mv.from);
             if from_used > from_expect {
                 return Err(CrashViolation {
                     class: CrashClass::DoubleCountedBlocks,
@@ -393,11 +395,13 @@ impl DfsSim {
             }
         }
         // Backstop: the full first-principles audit catches anything the
-        // scoped checks above did not classify.
-        self.audit_state().map_err(|detail| CrashViolation {
-            class: CrashClass::Other,
-            detail,
-        })
+        // scoped checks above did not classify. Nothing above writes the
+        // file table, so the pass made on entry still describes it.
+        self.audit_state_with(&usage)
+            .map_err(|detail| CrashViolation {
+                class: CrashClass::Other,
+                detail,
+            })
     }
 }
 

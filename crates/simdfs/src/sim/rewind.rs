@@ -5,7 +5,7 @@ use super::{DfsSim, SimStats};
 use crate::balancer::Balancer;
 use crate::bugs::BugEngineCheckpoint;
 use crate::clock::{PeriodicTimer, SimClock};
-use crate::cluster::ClusterCheckpoint;
+use crate::cluster::{ClusterCheckpoint, FileTableUsage};
 use crate::crash::CrashRuntime;
 use crate::faults::FaultInjector;
 use crate::namespace::NsCheckpoint;
@@ -217,7 +217,13 @@ impl DfsSim {
     /// Debug builds invoke this automatically after every rewind; it is
     /// also available to tests and tooling in any build.
     pub fn audit_state(&self) -> Result<(), String> {
-        self.cluster.audit()?;
+        self.audit_state_with(&self.cluster.file_table_usage())
+    }
+
+    /// [`DfsSim::audit_state`] against a file-table pass the caller
+    /// already made (the crash oracle shares its own).
+    pub(super) fn audit_state_with(&self, usage: &FileTableUsage) -> Result<(), String> {
+        self.cluster.audit_with(usage)?;
         let now = self.clock.now();
         fn check_rates(
             node: NodeId,

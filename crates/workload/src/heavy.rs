@@ -121,7 +121,8 @@ const DIURNAL_PROFILE: [u32; 24] = [
 ];
 
 /// A diurnal cycle: each block is one "hour", and the number of operations
-/// swells and ebbs along [`DIURNAL_PROFILE`]. The mix is create-heavy with
+/// swells and ebbs along a fixed 24-hour intensity profile (quiet night,
+/// morning ramp, afternoon peak, evening tail). The mix is create-heavy with
 /// reads over recently created files, like an ingest pipeline with
 /// daytime-interactive consumers.
 pub struct DiurnalCycle {

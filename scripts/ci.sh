@@ -28,6 +28,10 @@ check_schema() {
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Public docs must build without warnings: a broken or private intra-doc
+# link fails here instead of rotting silently.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Blocking lint stage: the workspace build enforces [workspace.lints]
 # (unsafe_code = forbid, unused_must_use = deny, ...), then detlint
 # enforces the determinism contract (see DESIGN.md) and writes the
@@ -58,9 +62,12 @@ run env CARGO_TARGET_DIR=.bench_build cargo test --release --offline \
 # compiled out of the bit arithmetic and the u128 sums. Every balancer
 # move runs the migration micro-steps, so their composition is checked
 # against the atomic reference migrate with overflow checks off as well.
+# The state audit is the crash explorer's release-mode oracle, so its
+# dense recomputation is checked against the BTreeMap reference audit
+# here too.
 run cargo test --release --offline -p simdfs -q -- release_oracle runtime_audit clone_reference \
     coverage_matches_btreeset_reference tracker_equals_recomputation_after_random_walk \
-    microsteps_match_atomic_migrate
+    microsteps_match_atomic_migrate audit_matches_btreemap_reference
 
 if [[ "${1:-}" != "--no-bench" ]]; then
     # Capture the committed baseline throughput BEFORE the bench run
