@@ -1133,9 +1133,11 @@ impl Cluster {
         }
         // The streaming utilization stats and the online count are
         // maintained incrementally at every mutation site; rebuild both
-        // from the node tables and fail on any drift.
+        // from the node tables and fail on any drift. The tracker spans
+        // the node-id slots up to the highest storage node.
+        let slots = self.storage.keys().last().map_or(0, |id| id.0 as usize + 1);
         let fresh = UtilTracker::from_leaves(
-            self.storage.hot_rows().len(),
+            slots,
             self.storage
                 .values()
                 .filter_map(|n| n.util_q().map(|q| (n.id, q))),
