@@ -2,12 +2,12 @@
 //!
 //! Usage: `repro [--workers N] [artifact...]` where artifact is one of
 //! `table1..table8`, `figure2`, `figure12`, `perf`, `faults`, `scale`,
-//! `scaling`, `crash`, `scale100k`, or `all` (default; excludes `perf`,
-//! `faults`, `scale`, `scaling`, `crash`, and `scale100k`). An unknown
-//! artifact name or a `--workers` without a number prints the usage line
-//! and exits with status 2 before anything is written. The comparison
-//! tables share one matrix run (Table 3 / Table 5 / Figure 12). `perf`
-//! times one campaign, clean-slate full replay against the redeploy
+//! `scaling`, `crash`, or `all` (default; excludes `perf`, `faults`,
+//! `scale`, `scaling`, and `crash`). An unknown artifact name or a
+//! `--workers` without a number prints the usage line and exits with
+//! status 2 before anything is written. The comparison tables share one
+//! matrix run (Table 3 / Table 5 / Figure 12). `perf` times one
+//! campaign, clean-slate full replay against the redeploy
 //! fallback, and grid-executor scaling, and dumps `results/BENCH_1.json`
 //! plus `results/BENCH_2.json`. `faults` sweeps the fault-injection
 //! matrix at a reduced budget and writes `results/faults.txt`. `scale`
@@ -17,10 +17,7 @@
 //! at 1/2/4/8 workers and writes `results/BENCH_4.json`. `crash` runs
 //! bounded crash-point exploration of the migration pipeline (plus the
 //! equal-budget random baseline) on every flavor and writes
-//! `results/BENCH_5.json`. `scale100k` measures 100k-node topologies —
-//! variance-probe flatness to 100k nodes, sampled-vs-full placement
-//! quality, and a 100k campaign with failed operations counted by cause
-//! and a same-seed identity check — and writes `results/BENCH_6.json`.
+//! `results/BENCH_5.json`.
 //!
 //! `--workers N` pins the grid executor's worker count for every matrix
 //! run whose spec does not set one explicitly (0 restores the default of
@@ -37,7 +34,7 @@ const SEED: u64 = 0x7e15;
 
 /// Every artifact name `repro` accepts.
 const ARTIFACTS: &str = "table1 table2 table3 table4 table5 table6 table7 table8 figure2 \
-                         figure12 perf faults scale scaling crash scale100k all";
+                         figure12 perf faults scale scaling crash all";
 
 /// Reports a command-line error with the usage line; nothing is written.
 fn usage_error(problem: &str) -> ExitCode {
@@ -186,27 +183,6 @@ fn main() -> ExitCode {
         write(
             "BENCH_3.json",
             &bench::scale::bench3_json(cores, &variance, &campaigns, &det, &grid),
-        );
-    }
-    // Scale100k is opt-in: 100k-node topology measurements — variance-probe
-    // flatness at 10/10k/100k (with preload wall time per point),
-    // sampled-vs-full placement quality differentials, and a 100k-node
-    // campaign run twice for a same-seed byte-identity check. Writes
-    // `results/BENCH_6.json`.
-    if args.iter().any(|a| a == "scale100k") {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let probe = bench::scale100k::measure_probe_scaling(&[10, 10_000, 100_000]);
-        let diffs = vec![
-            bench::scale100k::run_sampled_vs_full(simdfs::Flavor::Hdfs, 10_000, 0xbe, 2_000),
-            bench::scale100k::run_sampled_vs_full(simdfs::Flavor::GlusterFs, 10_000, 0xbe, 2_000),
-            bench::scale100k::run_sampled_vs_full(simdfs::Flavor::Hdfs, 100_000, 0xbe, 800),
-        ];
-        let det = bench::scale100k::check_determinism(simdfs::Flavor::Hdfs, 100_000, 0xbe, 8_192);
-        write(
-            "BENCH_6.json",
-            &bench::scale100k::bench6_json(cores, &probe, &diffs, &det),
         );
     }
     ExitCode::SUCCESS

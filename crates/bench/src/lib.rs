@@ -11,7 +11,6 @@ pub mod grid;
 pub mod harness;
 pub mod perf;
 pub mod scale;
-pub mod scale100k;
 pub mod scaling;
 pub mod tables;
 

@@ -28,12 +28,16 @@ fn run_repro(tag: &str, args: &[&str]) -> (std::process::ExitStatus, String, boo
 
 #[test]
 fn unknown_artifact_is_a_usage_error() {
-    let (status, stderr, results) = run_repro("unknown", &["no-such-artifact"]);
-    assert!(!status.success(), "exit status {status}");
-    assert_eq!(status.code(), Some(2), "not a usage error");
-    assert!(stderr.contains("usage: repro"), "stderr: {stderr}");
-    assert!(stderr.contains("no-such-artifact"), "stderr: {stderr}");
-    assert!(!results, "results/ was created");
+    // `scale100k` was an artifact once; a removed name must be rejected,
+    // not accepted and silently skipped.
+    for (tag, name) in [("unknown", "no-such-artifact"), ("removed", "scale100k")] {
+        let (status, stderr, results) = run_repro(tag, &[name]);
+        assert!(!status.success(), "{name}: exit status {status}");
+        assert_eq!(status.code(), Some(2), "{name}: not a usage error");
+        assert!(stderr.contains("usage: repro"), "{name}: stderr: {stderr}");
+        assert!(stderr.contains(name), "{name}: stderr: {stderr}");
+        assert!(!results, "{name}: results/ was created");
+    }
 }
 
 #[test]

@@ -7,10 +7,7 @@
 //! reports in Table 5).
 
 use crate::coverage::CoverageUniverse;
-use crate::placement::{
-    CrushStraw2, DhtHashRing, FreeSpaceWeighted, PlacementPolicy, PowerOfDChoices,
-    StrideSampledDht, VnodeRing,
-};
+use crate::placement::{CrushStraw2, DhtHashRing, FreeSpaceWeighted, PlacementPolicy, VnodeRing};
 use crate::types::{Bytes, GIB, MIB};
 use serde::{Deserialize, Serialize};
 
@@ -103,15 +100,6 @@ pub enum PlacementKind {
     DhtRing,
     /// Consistent hashing with virtual nodes (LeoFS).
     VnodeRing,
-    /// Power-of-d-choices sampling over free-space scores: scores `d`
-    /// candidates per replica instead of every volume. The O(d) stand-in
-    /// for [`PlacementKind::FreeSpaceWeighted`] / [`PlacementKind::Crush`]
-    /// on 100k-node topologies.
-    PowerOfD,
-    /// Stride-sampled DHT ring: same hash ring as
-    /// [`PlacementKind::DhtRing`], probed at `d` strided points per replica
-    /// instead of walked in full. The O(d) stand-in for the ring policies.
-    StrideDht,
 }
 
 impl PlacementKind {
@@ -122,22 +110,6 @@ impl PlacementKind {
             PlacementKind::Crush => Box::new(CrushStraw2),
             PlacementKind::DhtRing => Box::new(DhtHashRing),
             PlacementKind::VnodeRing => Box::new(VnodeRing::default()),
-            PlacementKind::PowerOfD => Box::new(PowerOfDChoices::default()),
-            PlacementKind::StrideDht => Box::new(StrideSampledDht::default()),
-        }
-    }
-
-    /// The candidate-sampling counterpart of this placement family: scoring
-    /// policies map to power-of-d sampling, ring policies to the strided
-    /// ring. Sampling kinds map to themselves.
-    pub fn sampled(self) -> PlacementKind {
-        match self {
-            PlacementKind::FreeSpaceWeighted | PlacementKind::Crush | PlacementKind::PowerOfD => {
-                PlacementKind::PowerOfD
-            }
-            PlacementKind::DhtRing | PlacementKind::VnodeRing | PlacementKind::StrideDht => {
-                PlacementKind::StrideDht
-            }
         }
     }
 }
@@ -377,18 +349,6 @@ impl FlavorConfig {
         cfg
     }
 
-    /// Like [`FlavorConfig::scaled`], but swaps the flavor's full-scan
-    /// placement policy for its candidate-sampling counterpart
-    /// ([`PlacementKind::sampled`]): O(d) scored candidates per fragment
-    /// instead of O(V). Everything else — balancer, routing, topology —
-    /// matches `scaled` exactly, so differential runs isolate the placement
-    /// policy.
-    pub fn sampled_scaled(flavor: Flavor, storage_nodes: u32) -> Self {
-        let mut cfg = Self::scaled(flavor, storage_nodes);
-        cfg.placement = cfg.placement.sampled();
-        cfg
-    }
-
     /// Default size of a volume added by `AddVolume`/`AddStorageNode`
     /// requests when the caller does not specify one.
     pub fn default_new_volume_capacity(&self) -> Bytes {
@@ -486,23 +446,6 @@ mod tests {
             // Below the 100k tier the 10k preload sizing holds.
             assert_eq!(FlavorConfig::scaled(f, 10_000).base_file_size, GIB);
         }
-    }
-
-    #[test]
-    fn sampled_scaled_swaps_only_the_placement_policy() {
-        for f in Flavor::all() {
-            let full = FlavorConfig::scaled(f, 1_000);
-            let sampled = FlavorConfig::sampled_scaled(f, 1_000);
-            assert_eq!(sampled.placement, full.placement.sampled());
-            assert_ne!(sampled.placement, full.placement, "{f}");
-            assert_eq!(sampled.storage_nodes, full.storage_nodes);
-            assert_eq!(sampled.replicas, full.replicas);
-            assert_eq!(sampled.base_file_size, full.base_file_size);
-            assert!((sampled.balance_threshold - full.balance_threshold).abs() < 1e-12);
-        }
-        // Idempotent: sampling a sampled kind is a no-op.
-        assert_eq!(PlacementKind::PowerOfD.sampled(), PlacementKind::PowerOfD);
-        assert_eq!(PlacementKind::StrideDht.sampled(), PlacementKind::StrideDht);
     }
 
     #[test]

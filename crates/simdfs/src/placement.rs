@@ -581,260 +581,6 @@ impl FreeSpaceWeighted {
     }
 }
 
-/// Power-of-d-choices sampling over free-space scores.
-///
-/// Instead of scoring all `V` volumes per fragment like
-/// [`FreeSpaceWeighted`], the policy draws `d * replicas` candidate volumes
-/// with a deterministic hash sequence seeded from the placement key, scores
-/// only those, and places among them. The classic two-choices result says
-/// sampling a handful of candidates and picking the least loaded keeps the
-/// load gap exponentially smaller than one random choice — so the achieved
-/// variance stays close to the full scan at `O(d)` cost per fragment (see
-/// the differential test `sampled_policies_track_full_scan_variance`).
-///
-/// Fallbacks keep the policy *complete*: when the view list is no larger
-/// than the sample budget, or when the sampled candidates cannot satisfy
-/// the request, the policy degenerates to the full scan, so it never fails
-/// a placement the full-scan policy would have satisfied.
-#[derive(Debug, Clone)]
-pub struct PowerOfDChoices {
-    /// Candidates sampled per requested replica.
-    pub d: usize,
-}
-
-impl Default for PowerOfDChoices {
-    fn default() -> Self {
-        PowerOfDChoices { d: 4 }
-    }
-}
-
-/// Salt for the candidate-sampling hash sequence ("PODC").
-const POWER_OF_D_SALT: u64 = 0x504f_4443;
-
-impl PowerOfDChoices {
-    fn budget(&self, replicas: usize) -> usize {
-        self.d.max(1) * replicas.max(1)
-    }
-
-    /// Deterministic candidate index sequence for `key`: the j-th candidate
-    /// is `mix(mix(key, SALT), j) % V`. Duplicate indices are possible and
-    /// harmless — the distinct-node selection dedupes by node and volume.
-    fn candidate(seed: u64, j: usize, len: usize) -> usize {
-        (mix(seed, j as u64) % len as u64) as usize
-    }
-
-    fn score_sampled(
-        &self,
-        key: u64,
-        replicas: usize,
-        views: &[VolumeView],
-        scored: &mut Vec<(f64, u32)>,
-    ) {
-        scored.clear();
-        let budget = self.budget(replicas);
-        if views.len() <= budget {
-            scored.extend(
-                views
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| (FreeSpaceWeighted::score(key, v), i as u32)),
-            );
-            return;
-        }
-        let seed = mix(key, POWER_OF_D_SALT);
-        scored.extend((0..budget).map(|j| {
-            let i = Self::candidate(seed, j, views.len());
-            (FreeSpaceWeighted::score(key, &views[i]), i as u32)
-        }));
-    }
-}
-
-impl PlacementPolicy for PowerOfDChoices {
-    fn name(&self) -> &'static str {
-        "power-of-d"
-    }
-
-    fn place(&self, key: u64, size: Bytes, replicas: usize, views: &[VolumeView]) -> Placement {
-        let mut cache = PlacementCache::new();
-        let mut out = Vec::new();
-        self.place_via(&mut cache, key, size, replicas, views, &mut out);
-        out
-    }
-
-    fn place_via(
-        &self,
-        cache: &mut PlacementCache,
-        key: u64,
-        size: Bytes,
-        replicas: usize,
-        views: &[VolumeView],
-        out: &mut Placement,
-    ) {
-        self.score_sampled(key, replicas, views, &mut cache.scored);
-        pick_distinct_nodes_indexed(
-            &mut cache.scored,
-            views,
-            replicas,
-            size,
-            &mut cache.nodes,
-            out,
-        );
-        if out.len() < replicas && views.len() > self.budget(replicas) {
-            // The sample could not satisfy the request (e.g. every sampled
-            // volume is full); fall back to the full scan so completeness
-            // matches `FreeSpaceWeighted`. If the full scan also comes up
-            // short, that result is final.
-            let scored = &mut cache.scored;
-            scored.clear();
-            scored.extend(
-                views
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| (FreeSpaceWeighted::score(key, v), i as u32)),
-            );
-            pick_distinct_nodes_indexed(scored, views, replicas, size, &mut cache.nodes, out);
-        }
-    }
-}
-
-/// Stride-sampled DHT ring for GlusterFS-style hashing.
-///
-/// Builds the same hash ring as [`DhtHashRing`] (identical hash points, so
-/// the key→successor ownership structure is preserved), but instead of
-/// walking all `V` ring entries clockwise it probes the true successor plus
-/// `d * replicas - 1` entries spaced a fixed stride apart. The stride keeps
-/// probes spread around the whole ring, so replica spill-over under full
-/// volumes still lands on far-away arcs the way a full clockwise walk
-/// eventually would. Degenerates to the full walk when the ring is no
-/// larger than the probe budget or when the probes cannot satisfy the
-/// request.
-#[derive(Debug, Clone)]
-pub struct StrideSampledDht {
-    /// Ring probes per requested replica.
-    pub d: usize,
-}
-
-impl Default for StrideSampledDht {
-    fn default() -> Self {
-        StrideSampledDht { d: 8 }
-    }
-}
-
-impl StrideSampledDht {
-    fn budget(&self, replicas: usize) -> usize {
-        self.d.max(1) * replicas.max(1)
-    }
-
-    /// Strided ring walk: probe `budget` entries starting at the key's
-    /// successor, spaced `len / budget` apart. Returns true when the
-    /// request was satisfied.
-    #[allow(clippy::too_many_arguments)]
-    fn walk_strided(
-        ring: &[(u64, u32, u32)],
-        views: &[VolumeView],
-        key: u64,
-        size: Bytes,
-        replicas: usize,
-        budget: usize,
-        used_nodes: &mut Vec<NodeId>,
-        out: &mut Placement,
-    ) {
-        out.clear();
-        used_nodes.clear();
-        let len = ring.len();
-        let start = ring.partition_point(|&(h, _, _)| h < key) % len;
-        let stride = (len / budget).max(1);
-        for j in 0..budget {
-            if out.len() == replicas {
-                break;
-            }
-            let v = &views[ring[(start + j * stride) % len].2 as usize];
-            if v.free() >= size && !used_nodes.contains(&v.node) && !out.contains(&v.volume) {
-                used_nodes.push(v.node);
-                out.push(v.volume);
-            }
-        }
-        if out.len() < replicas {
-            for j in 0..budget {
-                if out.len() == replicas {
-                    break;
-                }
-                let v = &views[ring[(start + j * stride) % len].2 as usize];
-                if v.free() >= size && !out.contains(&v.volume) {
-                    out.push(v.volume);
-                }
-            }
-        }
-    }
-}
-
-impl PlacementPolicy for StrideSampledDht {
-    fn name(&self) -> &'static str {
-        "stride-dht"
-    }
-
-    fn place(&self, key: u64, size: Bytes, replicas: usize, views: &[VolumeView]) -> Placement {
-        let mut cache = PlacementCache::new();
-        self.rebuild(&mut cache, views);
-        let mut out = Vec::new();
-        self.place_via(&mut cache, key, size, replicas, views, &mut out);
-        out
-    }
-
-    fn rebuild(&self, cache: &mut PlacementCache, views: &[VolumeView]) {
-        DhtHashRing::build_ring(views, &mut cache.ring);
-    }
-
-    fn place_via(
-        &self,
-        cache: &mut PlacementCache,
-        key: u64,
-        size: Bytes,
-        replicas: usize,
-        views: &[VolumeView],
-        out: &mut Placement,
-    ) {
-        let budget = self.budget(replicas);
-        if cache.ring.len() <= budget {
-            walk_ring(
-                &cache.ring,
-                views,
-                key,
-                size,
-                replicas,
-                &mut cache.nodes,
-                true,
-                out,
-            );
-            return;
-        }
-        Self::walk_strided(
-            &cache.ring,
-            views,
-            key,
-            size,
-            replicas,
-            budget,
-            &mut cache.nodes,
-            out,
-        );
-        if out.len() < replicas {
-            // The strided probes came up short; fall back to the full
-            // clockwise walk so completeness matches `DhtHashRing`.
-            walk_ring(
-                &cache.ring,
-                views,
-                key,
-                size,
-                replicas,
-                &mut cache.nodes,
-                true,
-                out,
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -857,8 +603,6 @@ mod tests {
             Box::new(VnodeRing::default()),
             Box::new(CrushStraw2),
             Box::new(FreeSpaceWeighted),
-            Box::new(PowerOfDChoices::default()),
-            Box::new(StrideSampledDht::default()),
         ]
     }
 
@@ -1122,99 +866,6 @@ mod tests {
         pick_distinct_nodes_indexed(&mut rev_idx, &views, 2, 1, &mut scratch, &mut b);
         assert_eq!(a, b);
         assert_eq!(a, fwd);
-    }
-
-    /// Per-view coefficient of variation of `used` after replaying `keys`
-    /// placements through `p`, charging each placed replica to its view.
-    fn fill_cv(
-        p: &dyn PlacementPolicy,
-        keys: u64,
-        replicas: usize,
-        mut vs: Vec<VolumeView>,
-    ) -> f64 {
-        let mut cache = PlacementCache::new();
-        let size: Bytes = 1 << 20;
-        let mut out = Vec::new();
-        for k in 0..keys {
-            let key = mix(k, 0x5eed);
-            p.place_cached_into(&mut cache, 0, key, size, replicas, &vs, &mut out);
-            assert_eq!(out.len(), replicas, "{} failed a placement", p.name());
-            for vol in &out {
-                let v = vs.iter_mut().find(|v| v.volume == *vol).unwrap();
-                v.used += size;
-            }
-        }
-        let n = vs.len() as f64;
-        let mean = vs.iter().map(|v| v.used as f64).sum::<f64>() / n;
-        let var = vs
-            .iter()
-            .map(|v| (v.used as f64 - mean).powi(2))
-            .sum::<f64>()
-            / n;
-        var.sqrt() / mean
-    }
-
-    #[test]
-    fn sampled_policies_track_full_scan_variance() {
-        // Differential quality check: replay the same placement stream
-        // through the full-scan policy and its sampled counterpart, and
-        // compare the resulting fill imbalance (CV of per-volume used).
-        // The documented bound — also gated in CI via BENCH_6 — is
-        // sampled_cv <= 2 * full_cv + 0.05.
-        let vs = views(64, 1 << 30);
-        let bound = |full: f64| 2.0 * full + 0.05;
-
-        let full_fsw = fill_cv(&FreeSpaceWeighted, 2000, 2, vs.clone());
-        let pod = fill_cv(&PowerOfDChoices { d: 4 }, 2000, 2, vs.clone());
-        assert!(
-            pod <= bound(full_fsw),
-            "power-of-d cv {pod:.4} vs full-scan cv {full_fsw:.4}"
-        );
-
-        let full_dht = fill_cv(&DhtHashRing, 2000, 2, vs.clone());
-        let stride = fill_cv(&StrideSampledDht { d: 8 }, 2000, 2, vs);
-        assert!(
-            stride <= bound(full_dht),
-            "stride-dht cv {stride:.4} vs full-scan cv {full_dht:.4}"
-        );
-    }
-
-    #[test]
-    fn stride_dht_first_replica_matches_full_ring_successor() {
-        // The strided walk starts at the key's true successor, so when the
-        // successor volume has room the first replica must agree with the
-        // full clockwise walk — the key→owner structure of GlusterFS-style
-        // hashing is preserved, only the spill-over search is sampled.
-        let vs = views(256, 1 << 30);
-        let full = DhtHashRing;
-        let sampled = StrideSampledDht { d: 4 };
-        for k in 0..500u64 {
-            let key = mix(k, 0xd417);
-            let a = full.place(key, 1024, 1, &vs);
-            let b = sampled.place(key, 1024, 1, &vs);
-            assert_eq!(a[0], b[0], "successor diverged at key {key:#x}");
-        }
-    }
-
-    #[test]
-    fn sampled_policies_fall_back_to_full_scan_when_sample_is_full() {
-        // 128 volumes, all full except one: a d*replicas sample will
-        // usually miss the single free volume, and the fallback must find
-        // it anyway — completeness matches the full-scan policies.
-        let mut vs = views(128, 1000);
-        for v in vs.iter_mut() {
-            v.used = 1000;
-        }
-        vs[97].used = 0;
-        for p in [
-            Box::new(PowerOfDChoices { d: 2 }) as Box<dyn PlacementPolicy>,
-            Box::new(StrideSampledDht { d: 2 }),
-        ] {
-            for k in 0..50u64 {
-                let placed = p.place(mix(k, 3), 500, 1, &vs);
-                assert_eq!(placed, vec![VolumeId(97)], "{} key {k}", p.name());
-            }
-        }
     }
 
     #[test]

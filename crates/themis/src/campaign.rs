@@ -8,7 +8,6 @@
 //! growth trace (Figure 12), detector statistics (Table 7's inputs) and
 //! confirmed failures with reproduction logs.
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveThreshold};
 use crate::adaptor::{DfsAdaptor, LoadReport};
 use crate::detector::{Detector, DetectorConfig};
 use crate::gen::MAX_SEQ_LEN;
@@ -55,11 +54,6 @@ pub struct CampaignConfig {
     /// (reproductions in the paper are tens of operations long) while
     /// capping the log at a few hundred KiB.
     pub repro_window: usize,
-    /// Optional dynamic threshold adjustment (Section 7): start sensitive
-    /// and raise `t` whenever the observer classifies a confirmation as a
-    /// false positive. When set, `detector.threshold_t` is only the
-    /// fallback for observers that do not classify.
-    pub adaptive: Option<AdaptiveConfig>,
 }
 
 impl Default for CampaignConfig {
@@ -72,7 +66,6 @@ impl Default for CampaignConfig {
             max_seq_len: MAX_SEQ_LEN,
             sample_period_ms: 60_000,
             repro_window: 4096,
-            adaptive: None,
         }
     }
 }
@@ -200,14 +193,6 @@ pub trait CampaignObserver {
 
     /// An iteration completed at virtual time `now_ms`.
     fn on_iteration(&mut self, _now_ms: u64) {}
-
-    /// Classifies a confirmation for adaptive thresholding: `Some(true)`
-    /// for a verified true positive, `Some(false)` for a false positive,
-    /// `None` when unknown. Only consulted when
-    /// [`CampaignConfig::adaptive`] is set.
-    fn classify_confirmation(&mut self, _failure: &ConfirmedFailure) -> Option<bool> {
-        None
-    }
 }
 
 /// An observer that ignores everything.
@@ -272,11 +257,7 @@ pub fn run_campaign_with_mode(
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut model = InputModel::new();
     model.sync(&adaptor.inventory());
-    let mut adaptive = cfg.adaptive.map(AdaptiveThreshold::new);
-    let mut detector = Detector { cfg: cfg.detector };
-    if let Some(a) = &adaptive {
-        detector.cfg.threshold_t = a.threshold();
-    }
+    let detector = Detector { cfg: cfg.detector };
 
     let mut engine = if mode == ExecutionMode::Accumulate {
         Engine::Accumulate
@@ -485,16 +466,6 @@ pub fn run_campaign_with_mode(
                     repro_log: std::sync::Arc::clone(snapshot.as_ref().expect("non-empty")),
                 };
                 observer.on_confirmed(&failure);
-                if let Some(a) = adaptive.as_mut() {
-                    match observer.classify_confirmation(&failure) {
-                        Some(false) => {
-                            a.report_false_positive();
-                            detector.cfg.threshold_t = a.threshold();
-                        }
-                        Some(true) => a.report_true_positive(),
-                        None => {}
-                    }
-                }
                 result.confirmed.push(failure);
                 confirmed_now = true;
             }

@@ -33,7 +33,6 @@
 //! assert!(case.mixes_input_spaces());
 //! ```
 
-pub mod adaptive;
 pub mod adaptor;
 pub mod campaign;
 pub mod crash;
@@ -47,7 +46,6 @@ pub mod seedpool;
 pub mod spec;
 pub mod strategies;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveThreshold};
 pub use adaptor::{
     AdaptorError, CrashExplorable, CrashOracleViolation, DfsAdaptor, LoadReport, NodeInventory,
     NodeLoad, Role, SnapshotCapable,

@@ -1,8 +1,7 @@
 //! Heavy-traffic workload generators for large-topology campaigns.
 //!
-//! The SmallFile/Filebench-style generators model steady client mixes on
-//! the paper's 10-node testbed. Scaling studies (1k/10k storage nodes)
-//! need traffic whose *shape* stresses the load model instead: a Zipfian
+//! Scaling studies (1k/10k storage nodes) need traffic whose *shape*
+//! stresses the load model rather than a steady client mix: a Zipfian
 //! hotspot concentrating accesses on a few files, a diurnal cycle whose
 //! intensity swells and ebbs, and flash crowds hammering one directory in
 //! bursts. All three are deterministic given their seed and emit only

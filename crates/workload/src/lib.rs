@@ -1,26 +1,19 @@
-//! # workload — fixed client workloads for DFS testing
+//! # workload — heavy-traffic client workloads for large topologies
 //!
-//! The paper's Fix-one-input baselines come from two tool families:
-//! SmallFile (metadata-intensive distributed workload generation) and
-//! Filebench (personality-driven file workloads). This crate provides
-//! deterministic generators in both styles, producing Themis
-//! [`Operation`] scripts that can be replayed against any
-//! [`themis::DfsAdaptor`] as the *fixed* request side of a campaign, or
-//! used as standalone load generators for the simulator.
+//! Deterministic generators of file-operation traffic whose shape
+//! stresses the load model on large clusters: a Zipfian hotspot, a
+//! diurnal cycle and flash crowds ([`heavy`]), with file sizes drawn from
+//! [`sizes`]. Each emits Themis [`Operation`] blocks that a caller sends
+//! through any [`themis::DfsAdaptor`]; the large-topology scaling
+//! campaigns use them as the fixed request side.
 //!
 //! [`Operation`]: themis::spec::Operation
 
-pub mod filebench;
 pub mod heavy;
-pub mod replay;
 pub mod sizes;
-pub mod smallfile;
 
-pub use filebench::{Personality, PersonalityKind};
 pub use heavy::{DiurnalCycle, FlashCrowd, ZipfianHotspot};
-pub use replay::{replay, replay_for, ReplayStats};
 pub use sizes::SizeDistribution;
-pub use smallfile::SmallFileConfig;
 
 use themis::spec::Operation;
 
@@ -41,10 +34,6 @@ mod tests {
     #[test]
     fn all_workloads_produce_wellformed_blocks() {
         let mut w: Vec<Box<dyn Workload>> = vec![
-            Box::new(SmallFileConfig::default().build()),
-            Box::new(Personality::new(PersonalityKind::FileServer, 11)),
-            Box::new(Personality::new(PersonalityKind::WebServer, 11)),
-            Box::new(Personality::new(PersonalityKind::VarMail, 11)),
             Box::new(ZipfianHotspot::new(11, 500, 32)),
             Box::new(DiurnalCycle::new(11, 2)),
             Box::new(FlashCrowd::new(11, 3, 16, 4)),

@@ -2,13 +2,10 @@
 # CI gate: formatting, lints, the full test suite, and a bench smoke run
 # that exercises the grid executor and dumps the perf JSON artifact.
 #
-# Usage: scripts/ci.sh [--no-bench|--bench-scaling|--bench-scale100k]
+# Usage: scripts/ci.sh [--no-bench|--bench-scaling]
 #   --no-bench        skip the bench smoke step (fast pre-push check)
 #   --bench-scaling   also run the heavy-cell worker-scaling bench and
 #                     gate results/BENCH_4.json (slow; multi-core boxes)
-#   --bench-scale100k also run the 100k-node topology bench and gate
-#                     results/BENCH_6.json (slow; probe flatness, sampled
-#                     placement quality, same-seed identity at 100k)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -220,51 +217,6 @@ if [[ "${1:-}" == "--bench-scaling" ]]; then
         grep -o '"why": "[^"]*"' results/BENCH_4.json || true
         exit 1
     fi
-fi
-
-if [[ "${1:-}" == "--bench-scale100k" ]]; then
-    # 100k-node topology artifact: variance-probe flatness at 10/10k/100k
-    # nodes (with per-point bulk-load preload wall time), sampled-vs-full
-    # placement-quality differentials, and a 100k-node campaign (failed
-    # operations counted by cause) run twice for a same-seed
-    # byte-identity check, into results/BENCH_6.json.
-    run cargo run --release --offline -p bench --bin repro -- scale100k
-    test -s results/BENCH_6.json
-    check_schema results/BENCH_6.json 6
-    echo "==> results/BENCH_6.json:"
-    cat results/BENCH_6.json
-
-    # Probe flatness gate: the last order of magnitude must be free —
-    # the per-op variance probe at 100k nodes may not cost more than
-    # twice what it costs at 10k. A regression here means some mutation
-    # path reintroduced an O(V) walk into the probe.
-    ratio=$(grep -o '"probe_cost_ratio_10k_100k": *[0-9.]*' results/BENCH_6.json \
-        | grep -o '[0-9.]*$')
-    awk -v r="$ratio" 'BEGIN {
-        if (r == "" || r > 2.0) {
-            printf "==> PROBE SCALING REGRESSION: 100k/10k probe cost ratio %s > 2.0\n", r
-            exit 1
-        }
-        printf "==> probe scaling gate OK: 100k/10k probe cost ratio %s\n", r
-    }'
-
-    # Sampled-placement quality gate: every differential pair must satisfy
-    # the documented bound sampled_cv <= 2 * full_cv + 0.05.
-    grep -q '"within_bound": true' results/BENCH_6.json \
-        || { echo "==> no sampled-vs-full differential recorded"; exit 1; }
-    if grep -q '"within_bound": false' results/BENCH_6.json; then
-        echo "==> sampled placement exceeded the documented variance bound"; exit 1
-    fi
-    echo "==> sampled placement gate OK: all pairs within 2*full_cv + 0.05"
-
-    # The 100k-node campaign must be same-seed byte-identical and pass
-    # the full state audit.
-    grep -q '"identical": true' results/BENCH_6.json \
-        || { echo "==> 100k-node campaign is not deterministic"; exit 1; }
-    if grep -q 'false' <<<"$(grep -o '"audit_ok": [a-z]*' results/BENCH_6.json)"; then
-        echo "==> 100k-node campaign failed the state audit"; exit 1
-    fi
-    echo "==> scale100k gate OK"
 fi
 
 echo "CI OK"
