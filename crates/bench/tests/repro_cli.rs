@@ -28,8 +28,8 @@ fn run_repro(tag: &str, args: &[&str]) -> (std::process::ExitStatus, String, boo
 
 #[test]
 fn unknown_artifact_is_a_usage_error() {
-    // `scale100k` was an artifact once; a removed name must be rejected,
-    // not accepted and silently skipped.
+    // The second name is a removed artifact: it must be rejected, not
+    // accepted and silently skipped.
     for (tag, name) in [("unknown", "no-such-artifact"), ("removed", "scale100k")] {
         let (status, stderr, results) = run_repro(tag, &[name]);
         assert!(!status.success(), "{name}: exit status {status}");
