@@ -65,10 +65,6 @@ pub struct SimAdaptor {
     pub command_log_cap: usize,
     /// Reusable snapshot buffer for incremental load reporting.
     snap_buf: ClusterSnapshot,
-    /// Whether [`DfsAdaptor::snapshots`] advertises the fork/restore
-    /// capability (on by default). Benchmarks switch it off to time the
-    /// redeploy-per-iteration fallback against the same target.
-    advertise_snapshots: bool,
 }
 
 impl SimAdaptor {
@@ -86,15 +82,7 @@ impl SimAdaptor {
             op_log: std::collections::VecDeque::new(),
             command_log_cap: 4096,
             snap_buf: ClusterSnapshot::default(),
-            advertise_snapshots: true,
         }
-    }
-
-    /// Enables or disables the [`SnapshotCapable`] advertisement. With it
-    /// off, clean-slate campaigns take the full-redeploy fallback path —
-    /// the baseline `BENCH_2.json` compares snapshot restores against.
-    pub fn set_snapshot_capability(&mut self, enabled: bool) {
-        self.advertise_snapshots = enabled;
     }
 
     /// The rendered command log (what a real deployment would have
@@ -361,21 +349,11 @@ impl DfsAdaptor for SimAdaptor {
     }
 
     fn snapshots(&mut self) -> Option<&mut dyn SnapshotCapable> {
-        if self.advertise_snapshots {
-            Some(self)
-        } else {
-            None
-        }
+        Some(self)
     }
 
     fn crash_points(&mut self) -> Option<&mut dyn CrashExplorable> {
-        // Crash exploration replays windows through fork/restore; the
-        // capability is only coherent while snapshots are advertised.
-        if self.advertise_snapshots {
-            Some(self)
-        } else {
-            None
-        }
+        Some(self)
     }
 }
 
@@ -698,16 +676,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_capability_can_be_switched_off() {
-        let mut a = adaptor(Flavor::Hdfs);
-        assert!(a.snapshots().is_some());
-        a.set_snapshot_capability(false);
-        assert!(a.snapshots().is_none());
-        a.set_snapshot_capability(true);
-        assert!(a.snapshots().is_some());
-    }
-
-    #[test]
     fn base_restore_reproduces_a_fresh_adaptor() {
         let mut reused = adaptor(Flavor::GlusterFs);
         reused.mark_base();
@@ -736,14 +704,6 @@ mod tests {
         let before = a.free_space();
         a.send(&create("/big", 64 << 20)).unwrap();
         assert!(a.free_space() < before);
-    }
-
-    #[test]
-    fn crash_capability_follows_snapshot_advertisement() {
-        let mut a = adaptor(Flavor::GlusterFs);
-        assert!(a.crash_points().is_some());
-        a.set_snapshot_capability(false);
-        assert!(a.crash_points().is_none());
     }
 
     #[test]

@@ -7,17 +7,15 @@
 //! `--workers` without a number prints the usage line and exits with
 //! status 2 before anything is written. The comparison tables share one
 //! matrix run (Table 3 / Table 5 / Figure 12). `perf` times one
-//! campaign, clean-slate full replay against the redeploy
-//! fallback, and grid-executor scaling, and dumps `results/BENCH_1.json`
-//! plus `results/BENCH_2.json`. `faults` sweeps the fault-injection
-//! matrix at a reduced budget and writes `results/faults.txt`. `scale`
-//! measures variance-sampling cost from 10 to 10k storage nodes plus
-//! heavy-traffic campaigns at scale and writes `results/BENCH_3.json`.
-//! `scaling` runs the heavy-cell grid through the work-stealing executor
-//! at 1/2/4/8 workers and writes `results/BENCH_4.json`. `crash` runs
-//! bounded crash-point exploration of the migration pipeline (plus the
-//! equal-budget random baseline) on every flavor and writes
-//! `results/BENCH_5.json`.
+//! campaign and grid-executor scaling and dumps `results/BENCH_1.json`.
+//! `faults` sweeps the fault-injection matrix at a reduced budget and
+//! writes `results/faults.txt`. `scale` measures variance-sampling cost
+//! from 10 to 10k storage nodes plus heavy-traffic campaigns at scale
+//! and writes `results/BENCH_3.json`. `scaling` runs the heavy-cell grid
+//! through the work-stealing executor at 1/2/4/8 workers and writes
+//! `results/BENCH_4.json`. `crash` runs bounded crash-point exploration
+//! of the migration pipeline (plus the equal-budget random baseline) on
+//! every flavor and writes `results/BENCH_5.json`.
 //!
 //! `--workers N` pins the grid executor's worker count for every matrix
 //! run whose spec does not set one explicitly (0 restores the default of
@@ -110,26 +108,6 @@ fn main() -> ExitCode {
         let spec = bench::perf::scaling_spec(1);
         let grid = bench::perf::measure_grid_scaling(&spec, &[2, 4, 8]);
         write("BENCH_1.json", &bench::perf::bench_json(&campaign, &grid));
-
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let micro = bench::perf::measure_fork_restore();
-        // One replay-vs-redeploy pair per flavor, clean and under an
-        // active crash fault profile (a faulted redeploy is what a real
-        // clean-slate campaign on flaky hardware pays).
-        let mut modes = Vec::new();
-        for profile in ["none", "crash"] {
-            for flavor in simdfs::Flavor::all() {
-                modes.push(bench::perf::measure_campaign_modes(
-                    flavor, 1, 0xbe, 3, profile,
-                ));
-            }
-        }
-        write(
-            "BENCH_2.json",
-            &bench::perf::bench2_json(cores, &micro, &modes, &grid),
-        );
     }
     // Scaling is opt-in: the heavy-cell grid through the work-stealing
     // executor at 1/2/4/8 workers, with per-worker counters, the reuse

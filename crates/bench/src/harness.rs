@@ -6,8 +6,8 @@ use adaptors::SimAdaptor;
 use simdfs::{BugSet, Flavor};
 use std::collections::{BTreeMap, BTreeSet};
 use themis::{
-    by_name, run_campaign_with_mode, CampaignConfig, CampaignObserver, CampaignResult,
-    ConfirmedFailure, DetectorConfig, ExecutionMode, VarianceWeights,
+    by_name, run_campaign, CampaignConfig, CampaignObserver, CampaignResult, ConfirmedFailure,
+    DetectorConfig, VarianceWeights,
 };
 
 /// Outcome of one evaluated campaign, with oracle attribution.
@@ -79,7 +79,7 @@ pub fn run_eval(
     threshold_t: f64,
     weights: VarianceWeights,
 ) -> EvalResult {
-    run_eval_faulted(
+    run_eval_cell(
         flavor,
         strategy_name,
         bugs,
@@ -88,127 +88,7 @@ pub fn run_eval(
         threshold_t,
         weights,
         "none",
-    )
-}
-
-/// Like [`run_eval`] but with a deterministic fault plan injected into the
-/// simulator. `fault_profile` must be one of
-/// [`simdfs::FaultPlan::profiles`]; the plan is derived from
-/// `(profile, seed)` so the whole cell stays a pure function of its grid
-/// coordinates.
-#[allow(clippy::too_many_arguments)]
-pub fn run_eval_faulted(
-    flavor: Flavor,
-    strategy_name: &str,
-    bugs: BugSet,
-    hours: u64,
-    seed: u64,
-    threshold_t: f64,
-    weights: VarianceWeights,
-    fault_profile: &str,
-) -> EvalResult {
-    run_eval_mode(
-        flavor,
-        strategy_name,
-        bugs,
-        hours,
-        seed,
-        threshold_t,
-        weights,
-        fault_profile,
-        ExecutionMode::Accumulate,
-    )
-}
-
-/// Like [`run_eval_faulted`] but under an explicit campaign execution
-/// mode — the entry point the clean-slate determinism test and the
-/// `BENCH_2.json` replay-vs-redeploy measurements use.
-#[allow(clippy::too_many_arguments)]
-pub fn run_eval_mode(
-    flavor: Flavor,
-    strategy_name: &str,
-    bugs: BugSet,
-    hours: u64,
-    seed: u64,
-    threshold_t: f64,
-    weights: VarianceWeights,
-    fault_profile: &str,
-    mode: ExecutionMode,
-) -> EvalResult {
-    eval_inner(
-        flavor,
-        strategy_name,
-        bugs,
-        hours,
-        seed,
-        threshold_t,
-        weights,
-        fault_profile,
-        mode,
-        true,
-    )
-}
-
-/// Clean-slate evaluation with the simulator's snapshot capability
-/// switched off: every iteration re-establishes the initial state through
-/// a full redeploy. This is the baseline the `BENCH_2.json` measurements
-/// compare snapshot-restore throughput against. Note its virtual-time
-/// axis differs from the snapshot path (a redeploy charges one virtual
-/// minute; a restore is free), so only wall-clock throughput — not
-/// per-campaign results — is comparable.
-#[allow(clippy::too_many_arguments)]
-pub fn run_eval_redeploy(
-    flavor: Flavor,
-    strategy_name: &str,
-    bugs: BugSet,
-    hours: u64,
-    seed: u64,
-    threshold_t: f64,
-    weights: VarianceWeights,
-    fault_profile: &str,
-) -> EvalResult {
-    eval_inner(
-        flavor,
-        strategy_name,
-        bugs,
-        hours,
-        seed,
-        threshold_t,
-        weights,
-        fault_profile,
-        ExecutionMode::FullReplay,
-        false,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn eval_inner(
-    flavor: Flavor,
-    strategy_name: &str,
-    bugs: BugSet,
-    hours: u64,
-    seed: u64,
-    threshold_t: f64,
-    weights: VarianceWeights,
-    fault_profile: &str,
-    mode: ExecutionMode,
-    use_snapshots: bool,
-) -> EvalResult {
-    let mut adaptor = SimAdaptor::new(flavor, bugs);
-    adaptor.set_snapshot_capability(use_snapshots);
-    // Nothing in the eval pipeline reads the rendered command log; skip
-    // the per-send operation clone it would cost.
-    adaptor.command_log_cap = 0;
-    eval_prepared(
-        &mut adaptor,
-        flavor,
-        strategy_name,
-        hours,
-        seed,
-        threshold_t,
-        weights,
-        fault_profile,
-        mode,
+        None,
     )
 }
 
@@ -228,7 +108,6 @@ fn eval_prepared(
     threshold_t: f64,
     weights: VarianceWeights,
     fault_profile: &str,
-    mode: ExecutionMode,
 ) -> EvalResult {
     let mut strat =
         by_name(strategy_name).unwrap_or_else(|| panic!("unknown strategy {strategy_name}"));
@@ -253,7 +132,7 @@ fn eval_prepared(
         weights,
         ..Default::default()
     };
-    let campaign = run_campaign_with_mode(strat.as_mut(), adaptor, &cfg, &mut obs, mode);
+    let campaign = run_campaign(strat.as_mut(), adaptor, &cfg, &mut obs);
     let bytes_lost = handle.borrow().bytes_lost();
     EvalResult {
         flavor,
@@ -299,7 +178,6 @@ pub fn run_eval_cell(
         threshold_t,
         weights,
         fault_profile,
-        ExecutionMode::Accumulate,
     )
 }
 
@@ -307,7 +185,7 @@ pub fn run_eval_cell(
 /// marks the post-deploy state as its base, and runs every subsequent cell
 /// by rewinding to that base instead of redeploying. The rewind is
 /// byte-identical to a fresh deploy (see [`simdfs::DfsSim::restore_to_base`]),
-/// so `run` produces exactly what [`run_eval_faulted`] would — the grid
+/// so `run` produces exactly what [`run_eval_cell`] would — the grid
 /// determinism tests pin that equivalence.
 pub struct CellRunner {
     adaptor: SimAdaptor,
@@ -362,7 +240,6 @@ impl CellRunner {
             threshold_t,
             weights,
             fault_profile,
-            ExecutionMode::Accumulate,
         )
     }
 }

@@ -3,8 +3,8 @@
 //! This crate turns the `themis` + `simdfs` + `adaptors` stack into the
 //! paper's evaluation: attributed campaigns ([`harness`]) and one generator
 //! per table/figure ([`tables`]). The `repro` binary writes the full-budget
-//! artifacts under `results/`; `cargo bench` runs reduced-budget versions
-//! under Criterion for timing.
+//! artifacts under `results/`; the repo benchmark (`benchmark/`) times the
+//! same campaign paths.
 
 pub mod crashbench;
 pub mod grid;

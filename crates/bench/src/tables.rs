@@ -1,8 +1,7 @@
 //! Generators for every table and figure in the paper's evaluation.
 //!
 //! Each function returns the rendered text artifact (and the underlying
-//! data where useful). The `repro` binary writes them under `results/`;
-//! the Criterion benches run reduced-budget versions of the same code.
+//! data where useful). The `repro` binary writes them under `results/`.
 
 use crate::harness::{render_table, run_matrix, EvalResult};
 use simdfs::bugs::catalog;

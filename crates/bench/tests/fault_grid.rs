@@ -19,7 +19,7 @@ fn fault_spec(workers: usize) -> GridSpec {
         workers,
         fault_profiles: vec!["none".into(), "crash".into(), "slow".into(), "lossy".into()],
         ..GridSpec::new(
-            vec![Flavor::Hdfs, Flavor::CephFs],
+            Flavor::all().to_vec(),
             vec!["Themis".into()],
             vec![SEED],
             BugSet::None,

@@ -1,14 +1,9 @@
 //! A campaign is a pure function of (flavor, strategy, seed): the grid
 //! executor must return bit-identical results to serial execution no
-//! matter how many workers race over the matrix — and a clean-slate
-//! full-replay campaign, which rewinds the simulator to its snapshot base
-//! before every iteration, must replay bit-identically on every flavor,
-//! including under an active fault profile.
+//! matter how many workers race over the matrix.
 
-use bench::harness::run_eval_mode;
 use bench::{run_cell, run_grid, GridSpec};
 use simdfs::{BugSet, Flavor};
-use themis::{ExecutionMode, VarianceWeights};
 
 #[test]
 fn grid_results_are_identical_to_serial_at_any_worker_count() {
@@ -97,55 +92,6 @@ fn scaled_grid_cells_are_identical_to_serial_reference() {
                 "scaled cell {} diverged at workers={workers}",
                 g.index
             );
-        }
-    }
-}
-
-#[test]
-fn full_replay_is_deterministic_on_every_flavor() {
-    // Every flavor, unfaulted and under an active fault profile: two
-    // same-seed full-replay campaigns must agree down to iterations, ops,
-    // detections, confirmed failures and their reproduction logs
-    // (CampaignResult's PartialEq covers all of it, including the Arc'd
-    // logs by content). Debug builds audit the simulator state after
-    // every snapshot restore, so this also checks each rewind.
-    for flavor in Flavor::all() {
-        for profile in ["none", "crash"] {
-            let run = || {
-                run_eval_mode(
-                    flavor,
-                    "Themis",
-                    BugSet::New,
-                    1,
-                    0xbe,
-                    0.25,
-                    VarianceWeights::default(),
-                    profile,
-                    ExecutionMode::FullReplay,
-                )
-            };
-            let first = run();
-            let second = run();
-            assert_eq!(
-                first.campaign,
-                second.campaign,
-                "full replay diverged between same-seed runs on {} / {profile}",
-                flavor.name()
-            );
-            assert_eq!(first.found, second.found, "{} / {profile}", flavor.name());
-            assert_eq!(
-                first.first_trigger_min,
-                second.first_trigger_min,
-                "{} / {profile}",
-                flavor.name()
-            );
-            assert_eq!(
-                first.false_positive_confirms,
-                second.false_positive_confirms,
-                "{} / {profile}",
-                flavor.name()
-            );
-            assert!(first.campaign.iterations > 0, "{}", flavor.name());
         }
     }
 }

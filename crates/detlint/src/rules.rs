@@ -222,7 +222,7 @@ mod tests {
         assert!(r.applies_to("crates/simdfs/src/sim.rs"));
         assert!(!r.applies_to("crates/simdfs/src/clock.rs"));
         assert!(!r.applies_to("crates/bench/src/perf.rs"));
-        assert!(!r.applies_to("crates/compat/criterion/src/lib.rs"));
+        assert!(!r.applies_to("crates/compat/rand/src/lib.rs"));
         // `src` must not match `srcery/…` or `crates/detlint/src/…`.
         assert!(r.applies_to("src/lib.rs"));
         assert!(!r.applies_to("srcery/lib.rs"));

@@ -184,10 +184,10 @@ pub trait DfsAdaptor {
 
     /// Optional fork/restore capability. Adaptors whose target can cheaply
     /// save and rewind execution state (the simulator; a real deployment
-    /// on a filesystem with snapshots) return `Some`, which lets
-    /// clean-slate campaigns restore the initial state before each test
-    /// case instead of redeploying the target. The default is `None`:
-    /// clean-slate campaigns then reset the target between cases.
+    /// on a filesystem with snapshots) return `Some`; the crash explorer
+    /// needs it to fork once per crash point. The default `None` makes
+    /// crash exploration unavailable for this target. Campaigns never
+    /// call it.
     fn snapshots(&mut self) -> Option<&mut dyn SnapshotCapable> {
         None
     }
@@ -274,8 +274,7 @@ pub trait CrashExplorable {
 /// Cheap deterministic fork/restore over target state, exposed by
 /// adaptors through [`DfsAdaptor::snapshots`].
 ///
-/// Semantics contract (clean-slate campaigns and the crash explorer
-/// depend on each of these):
+/// Semantics contract (the crash explorer depends on each of these):
 /// - Marks form a **stack along one execution lineage**: restoring a mark
 ///   invalidates every mark taken after it.
 /// - [`SnapshotCapable::restore`] rewinds *everything* the target's

@@ -19,17 +19,17 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-/// How the campaign positions the target between fuzzing iterations.
+/// The campaign's execution semantics. The paper's loop (Figure 6) is the
+/// only one: state accumulates across iterations and the target is reset
+/// only after a confirmed failure. The type and
+/// [`run_campaign_with_mode`] remain because the repo benchmark package
+/// names them; new code calls [`run_campaign`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ExecutionMode {
     /// Paper semantics: state accumulates across iterations and the target
     /// is only reset after a confirmed failure.
     #[default]
     Accumulate,
-    /// Clean-slate semantics: every case runs against the initial state,
-    /// re-established in full each iteration (a restore-to-base for
-    /// snapshot-capable adaptors, a complete redeploy otherwise).
-    FullReplay,
 }
 
 /// Campaign configuration.
@@ -201,52 +201,9 @@ pub struct NullObserver;
 
 impl CampaignObserver for NullObserver {}
 
-/// Runs one campaign to completion under the default
-/// [`ExecutionMode::Accumulate`] semantics.
-pub fn run_campaign(
-    strategy: &mut dyn Strategy,
-    adaptor: &mut dyn DfsAdaptor,
-    cfg: &CampaignConfig,
-    observer: &mut dyn CampaignObserver,
-) -> CampaignResult {
-    run_campaign_with_mode(strategy, adaptor, cfg, observer, ExecutionMode::Accumulate)
-}
-
-/// The campaign's target-positioning machinery, chosen once at startup.
-enum Engine {
-    /// No positioning: state accumulates (paper semantics).
-    Accumulate,
-    /// Clean-slate on a non-capable adaptor: full redeploy between
-    /// iterations. `needs_reset` is false while the target is already at
-    /// its initial state (campaign start, just after a confirm reset).
-    Fallback { needs_reset: bool },
-    /// Clean-slate on a snapshot-capable adaptor: `base` marks the initial
-    /// state and is restored before every iteration. Restores rewind the
-    /// target's raw clock, so virtual time is accounted as
-    /// `consumed + (raw - t0)`: `t0` is the raw clock at the current
-    /// base and `consumed` banks each finished iteration's elapsed time
-    /// before the next restore rewinds it.
-    Snap { base: u64, consumed: u64, t0: u64 },
-}
-
-/// Virtual-time offset of an engine: `vtime(raw, off(e))` maps a raw
-/// target clock reading onto the campaign's monotone virtual axis.
-fn off(e: &Engine) -> (u64, u64) {
-    match e {
-        Engine::Snap { consumed, t0, .. } => (*consumed, *t0),
-        _ => (0, 0),
-    }
-}
-
-fn vtime(raw: u64, (consumed, t0): (u64, u64)) -> u64 {
-    consumed + raw.saturating_sub(t0)
-}
-
-/// Runs one campaign to completion under an explicit execution mode.
-///
-/// On a snapshot-capable adaptor, [`ExecutionMode::FullReplay`] reports
-/// its results on a virtual-time axis starting at 0, because snapshot
-/// restores rewind the target's raw clock.
+/// Runs one campaign under `mode`, which has one value: this forwards to
+/// [`run_campaign`]. It remains because the repo benchmark package calls
+/// it; new code calls [`run_campaign`].
 pub fn run_campaign_with_mode(
     strategy: &mut dyn Strategy,
     adaptor: &mut dyn DfsAdaptor,
@@ -254,28 +211,23 @@ pub fn run_campaign_with_mode(
     observer: &mut dyn CampaignObserver,
     mode: ExecutionMode,
 ) -> CampaignResult {
+    let ExecutionMode::Accumulate = mode;
+    run_campaign(strategy, adaptor, cfg, observer)
+}
+
+/// Runs one campaign to completion.
+pub fn run_campaign(
+    strategy: &mut dyn Strategy,
+    adaptor: &mut dyn DfsAdaptor,
+    cfg: &CampaignConfig,
+    observer: &mut dyn CampaignObserver,
+) -> CampaignResult {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut model = InputModel::new();
     model.sync(&adaptor.inventory());
     let detector = Detector { cfg: cfg.detector };
 
-    let mut engine = if mode == ExecutionMode::Accumulate {
-        Engine::Accumulate
-    } else if let Some(base) = adaptor.snapshots().map(|s| s.snapshot()) {
-        Engine::Snap {
-            base,
-            consumed: 0,
-            t0: adaptor.now_ms(),
-        }
-    } else {
-        Engine::Fallback { needs_reset: false }
-    };
-    // In clean-slate modes the input model permanently describes the
-    // initial state (that is what every case runs against); only the
-    // accumulate engine tracks execution effects into it.
-    let track_model = matches!(engine, Engine::Accumulate);
-
-    let start_v = vtime(adaptor.now_ms(), off(&engine));
+    let start = adaptor.now_ms();
     let mut result = CampaignResult {
         target: adaptor.name(),
         strategy: strategy.name().to_string(),
@@ -283,7 +235,7 @@ pub fn run_campaign_with_mode(
         candidates_raised: 0,
         filtered_by_double_check: 0,
         coverage_trace: vec![CoveragePoint {
-            time_ms: start_v,
+            time_ms: start,
             branches: adaptor.coverage(),
         }],
         final_coverage: 0,
@@ -296,7 +248,7 @@ pub fn run_campaign_with_mode(
     // allocation-free apart from case generation and confirmations).
     let mut report = LoadReport::default();
     let mut persistent: Vec<crate::detector::Candidate> = Vec::new();
-    let mut next_sample = start_v + cfg.sample_period_ms;
+    let mut next_sample = start + cfg.sample_period_ms;
     // Imbalance kinds observed on the previous iteration: a candidate must
     // persist across two consecutive iterations before the (expensive)
     // double-check runs — transient imbalance during an in-flight
@@ -310,14 +262,7 @@ pub fn run_campaign_with_mode(
     let mut prior_variance = 0.0f64;
 
     loop {
-        // Between iterations the snapshot engine's virtual position is
-        // exactly the banked time (the raw clock is about to be rewound);
-        // elsewhere raw time is the position.
-        let vpos = match &engine {
-            Engine::Snap { consumed, .. } => *consumed,
-            _ => adaptor.now_ms(),
-        };
-        if vpos.saturating_sub(start_v) >= cfg.budget_ms {
+        if adaptor.now_ms().saturating_sub(start) >= cfg.budget_ms {
             break;
         }
         result.iterations += 1;
@@ -330,47 +275,20 @@ pub fn run_campaign_with_mode(
             strategy.next_case(&mut ctx)
         };
 
-        // Position the target for this case.
-        match &mut engine {
-            Engine::Accumulate => {}
-            Engine::Fallback { needs_reset } => {
-                if *needs_reset {
-                    adaptor.reset();
-                }
-            }
-            Engine::Snap { base, consumed, t0 } => {
-                if !adaptor.snapshots().expect("capable").restore(*base) {
-                    // Defensive: the base mark was lost (cannot happen
-                    // while the engine owns all resets). Rebuild from a
-                    // redeploy.
-                    adaptor.reset();
-                    let raw = adaptor.now_ms();
-                    *consumed += raw.saturating_sub(*t0);
-                    *t0 = raw;
-                    *base = adaptor.snapshots().expect("capable").snapshot();
-                }
-            }
-        }
-
         // Execute the case; failed operations are normal fuzzing outcomes.
         for op in &case.ops {
             let ok = adaptor.send(op).is_ok();
-            if track_model && ok {
+            if ok {
                 model.apply(op);
             }
             repro_log.push(LoggedOp {
-                time_ms: vtime(adaptor.now_ms(), off(&engine)),
+                time_ms: adaptor.now_ms(),
                 op: op.clone(),
                 ok,
             });
             result.ops_sent += 1;
         }
-        if track_model {
-            model.sync_topology(&adaptor.topology());
-        }
-        if let Engine::Fallback { needs_reset } = &mut engine {
-            *needs_reset = true;
-        }
+        model.sync_topology(&adaptor.topology());
 
         // Monitor, model, detect (Figure 6 steps 6-8). The report buffer
         // is reused across iterations.
@@ -461,7 +379,7 @@ pub fn run_campaign_with_mode(
                 let failure = ConfirmedFailure {
                     kind: c.kind,
                     ratio: c.ratio,
-                    time_ms: vtime(adaptor.now_ms(), off(&engine)),
+                    time_ms: adaptor.now_ms(),
                     case: case.clone(),
                     repro_log: std::sync::Arc::clone(snapshot.as_ref().expect("non-empty")),
                 };
@@ -492,47 +410,23 @@ pub fn run_campaign_with_mode(
             result.resets += 1;
             prior_variance = 0.0;
             prior_kinds.clear();
-            match &mut engine {
-                Engine::Accumulate => {}
-                // The target is already at its initial state; skip the
-                // next iteration's redeploy.
-                Engine::Fallback { needs_reset } => *needs_reset = false,
-                Engine::Snap { base, consumed, t0 } => {
-                    // The reset killed every mark: bank the elapsed time
-                    // up to and including the reset, then mark the fresh
-                    // initial state as the new base.
-                    let raw = adaptor.now_ms();
-                    *consumed += raw.saturating_sub(*t0);
-                    *t0 = raw;
-                    *base = adaptor.snapshots().expect("capable").snapshot();
-                }
-            }
         }
 
-        // Sample the coverage trace on the virtual-minute grid, then bank
-        // this iteration's elapsed time before the next restore rewinds
-        // the raw clock.
-        let vnow = vtime(adaptor.now_ms(), off(&engine));
-        while next_sample <= vnow {
+        // Sample the coverage trace on the virtual-minute grid.
+        let now = adaptor.now_ms();
+        while next_sample <= now {
             result.coverage_trace.push(CoveragePoint {
                 time_ms: next_sample,
                 branches: adaptor.coverage(),
             });
             next_sample += cfg.sample_period_ms;
         }
-        observer.on_iteration(vnow);
-        if let Engine::Snap { consumed, .. } = &mut engine {
-            *consumed = vnow;
-        }
+        observer.on_iteration(now);
     }
 
     result.final_coverage = adaptor.coverage();
-    let vend = match &engine {
-        Engine::Snap { consumed, .. } => *consumed,
-        _ => adaptor.now_ms(),
-    };
     result.coverage_trace.push(CoveragePoint {
-        time_ms: vend,
+        time_ms: adaptor.now_ms(),
         branches: result.final_coverage,
     });
     result
@@ -720,26 +614,6 @@ mod tests {
         let res = run_campaign(&mut strat, &mut adaptor, &cfg, &mut obs);
         assert_eq!(obs.0, res.confirmed.len() as u64);
         assert!(obs.0 >= 1);
-    }
-
-    #[test]
-    fn clean_slate_fallback_redeploys_between_iterations() {
-        let mut strat = ThemisMinus;
-        let mut adaptor = FakeAdaptor::new(u64::MAX);
-        let cfg = CampaignConfig {
-            budget_ms: 600_000,
-            ..Default::default()
-        };
-        let res = run_campaign_with_mode(
-            &mut strat,
-            &mut adaptor,
-            &cfg,
-            &mut NullObserver,
-            ExecutionMode::FullReplay,
-        );
-        // One redeploy before every iteration except the first.
-        assert_eq!(adaptor.resets, res.iterations - 1);
-        assert_eq!(res.resets, 0, "no failures, so no confirm resets");
     }
 
     #[test]

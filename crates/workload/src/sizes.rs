@@ -9,8 +9,6 @@ const KIB: u64 = 1024;
 /// A file-size distribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SizeDistribution {
-    /// Every file has the same size.
-    Fixed(u64),
     /// Uniform between the bounds (inclusive lower, exclusive upper).
     Uniform(u64, u64),
     /// A discrete heavy-tailed mix: mostly small files, occasional large
@@ -23,7 +21,6 @@ impl SizeDistribution {
     /// Draws one size.
     pub fn sample(&self, rng: &mut StdRng) -> u64 {
         match self {
-            SizeDistribution::Fixed(s) => *s,
             SizeDistribution::Uniform(lo, hi) => {
                 if hi <= lo {
                     *lo
@@ -45,14 +42,6 @@ impl SizeDistribution {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-
-    #[test]
-    fn fixed_is_constant() {
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..10 {
-            assert_eq!(SizeDistribution::Fixed(42).sample(&mut rng), 42);
-        }
-    }
 
     #[test]
     fn uniform_respects_bounds() {
