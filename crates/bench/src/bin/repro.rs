@@ -2,18 +2,16 @@
 //!
 //! Usage: `repro [--workers N] [artifact...]` where artifact is one of
 //! `table1..table8`, `figure2`, `figure12`, `perf`, `faults`, `scale`,
-//! `scaling`, `crash`, or `all` (default; excludes `perf`, `faults`,
-//! `scale`, `scaling`, and `crash`). An unknown artifact name or a
-//! `--workers` without a number prints the usage line and exits with
-//! status 2 before anything is written. The comparison tables share one
-//! matrix run (Table 3 / Table 5 / Figure 12). `perf` times one
-//! campaign and grid-executor scaling and dumps `results/BENCH_1.json`.
-//! `faults` sweeps the fault-injection matrix at a reduced budget and
-//! writes `results/faults.txt`. `scale` measures variance-sampling cost
-//! from 10 to 10k storage nodes plus heavy-traffic campaigns at scale
-//! and writes `results/BENCH_3.json`. `scaling` runs the heavy-cell grid
-//! through the work-stealing executor at 1/2/4/8 workers and writes
-//! `results/BENCH_4.json`. `crash` runs bounded crash-point exploration
+//! `crash`, or `all` (default; excludes `perf`, `faults`, `scale`, and
+//! `crash`). An unknown artifact name or a `--workers` without a number
+//! prints the usage line and exits with status 2 before anything is
+//! written. The comparison tables share one matrix run (Table 3 /
+//! Table 5 / Figure 12). `perf` times one campaign and grid-executor
+//! scaling and dumps `results/BENCH_1.json`. `faults` sweeps the
+//! fault-injection matrix at a reduced budget and writes
+//! `results/faults.txt`. `scale` measures variance-sampling cost from 10
+//! to 10k storage nodes plus heavy-traffic campaigns at scale and writes
+//! `results/BENCH_3.json`. `crash` runs bounded crash-point exploration
 //! of the migration pipeline (plus the equal-budget random baseline) on
 //! every flavor and writes `results/BENCH_5.json`.
 //!
@@ -32,7 +30,7 @@ const SEED: u64 = 0x7e15;
 
 /// Every artifact name `repro` accepts.
 const ARTIFACTS: &str = "table1 table2 table3 table4 table5 table6 table7 table8 figure2 \
-                         figure12 perf faults scale scaling crash all";
+                         figure12 perf faults scale crash all";
 
 /// Reports a command-line error with the usage line; nothing is written.
 fn usage_error(problem: &str) -> ExitCode {
@@ -109,20 +107,10 @@ fn main() -> ExitCode {
         let grid = bench::perf::measure_grid_scaling(&spec, &[2, 4, 8]);
         write("BENCH_1.json", &bench::perf::bench_json(&campaign, &grid));
     }
-    // Scaling is opt-in: the heavy-cell grid through the work-stealing
-    // executor at 1/2/4/8 workers, with per-worker counters, the reuse
-    // redeploy count, fresh-deploy identity at every worker count, and
-    // the 0.7x-per-worker CI gate (recorded as skipped on single-core
-    // hosts). Writes `results/BENCH_4.json`.
-    if args.iter().any(|a| a == "scaling") {
-        let spec = bench::scaling::heavy_spec(4);
-        let bench4 = bench::scaling::measure_scaling(&spec, &[2, 4, 8]);
-        write("BENCH_4.json", &bench::scaling::bench4_json(&bench4));
-    }
     // Crash is opt-in: bounded crash-point exploration of the migration
     // pipeline — one campaign per flavor (bounded arm plus the
-    // equal-budget random-time baseline) through the work-stealing
-    // executor, with a from-scratch byte-identity check. Writes
+    // equal-budget random-time baseline) through the grid executor, with
+    // a from-scratch byte-identity check. Writes
     // `results/BENCH_5.json`.
     if args.iter().any(|a| a == "crash") {
         let workers = std::thread::available_parallelism()
@@ -135,8 +123,8 @@ fn main() -> ExitCode {
     }
     // Scale is opt-in: large-topology scaling measurements (10 to 10k
     // storage nodes), heavy-traffic campaigns with the mean-field
-    // cross-check, a same-seed determinism check at 10k nodes, and
-    // worker scaling over heavy cells. Writes `results/BENCH_3.json`.
+    // cross-check, and a same-seed determinism check at 10k nodes.
+    // Writes `results/BENCH_3.json`.
     if args.iter().any(|a| a == "scale") {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -151,16 +139,9 @@ fn main() -> ExitCode {
         // canonical reports byte for byte.
         let det = bench::scale::check_campaign_determinism(simdfs::Flavor::Hdfs, 10_000, 0xbe, 12);
         campaigns.push(det.campaign.clone());
-        let grid = bench::scale::measure_heavy_grid_scaling(
-            simdfs::Flavor::Hdfs,
-            500,
-            &[0xbe, 7, 21, 42, 5, 11, 17, 99],
-            24,
-            &[2, 4],
-        );
         write(
             "BENCH_3.json",
-            &bench::scale::bench3_json(cores, &variance, &campaigns, &det, &grid),
+            &bench::scale::bench3_json(cores, &variance, &campaigns, &det),
         );
     }
     ExitCode::SUCCESS

@@ -1,7 +1,7 @@
 //! Bounded crash-exploration measurements behind the `BENCH_5.json`
 //! artifact: one crash campaign per flavor (bounded crash-point
 //! exploration of the migration pipeline plus the equal-budget
-//! random-time baseline), run through the work-stealing executor, with a
+//! random-time baseline), run through the grid executor, with a
 //! same-seed byte-identity check over the canonical report and fork
 //! throughput kept outside the compared bytes.
 
@@ -86,7 +86,7 @@ impl CrashBench {
     }
 }
 
-/// Runs one crash campaign per flavor through the work-stealing executor
+/// Runs one crash campaign per flavor through the grid executor
 /// (each cell is one flavor; a fresh simulator per cell, so cells are
 /// order-independent). Panics if a target rejects the campaign — every
 /// simulated flavor advertises fork/restore and crash points.

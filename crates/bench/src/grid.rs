@@ -3,34 +3,27 @@
 //! Evaluation workloads are embarrassingly parallel across campaign cells:
 //! every `(flavor, strategy, seed, fault_profile)` combination is an
 //! independent, deterministic computation. [`run_grid`] executes such a
-//! matrix on a work-stealing pool and returns the results keyed by grid
-//! index — the output is bit-identical regardless of worker count or steal
-//! schedule, because each cell is a pure function of its coordinates.
+//! matrix on a pool of scoped threads and returns the results keyed by
+//! grid index. Each cell is a pure function of its coordinates, so the
+//! output is bit-identical at any worker count. The pool rests on three
+//! facts:
 //!
-//! Three things make the pool scale where the previous shared-cursor
-//! version did not:
-//!
-//! 1. **Per-worker simulator reuse.** Each worker owns one
+//! 1. **A shared counter.** Workers claim the next cell index from one
+//!    atomic counter until it passes the last cell, so every cell runs
+//!    exactly once and no worker idles while cells remain.
+//! 2. **Per-worker simulator reuse.** Each worker owns one
 //!    [`CellRunner`] per flavor it touches: a single deploy, base-marked,
 //!    then rewound between cells via `restore_to_base` (a journal rewind
 //!    to mark 0) instead of re-ingesting the whole topology per cell. A
-//!    grid's total deploy count drops from `cells` to at most
-//!    `workers × flavors`, which [`WorkerStats::redeploys`] proves.
-//! 2. **Work stealing.** Cell indices are seeded into per-worker FIFO
-//!    deques with a strided partition (`index % workers`), so neighboring
-//!    indices — which correlate with the heavy axes, flavor above all —
-//!    start on different workers. A worker that drains its own deque
-//!    steals half a victim's queue at a time, scanning victims in ring
-//!    order; a straggler's backlog migrates instead of stranding the pool.
-//! 3. **Sharded collection.** Workers append finished cells into buffers
-//!    they own (preallocated to the expected share) and the shards are
-//!    merged by grid index once, at join. The hot path shares only the
-//!    deques and one remaining-cells counter.
+//!    grid deploys at most `workers × flavors` simulators, which
+//!    [`WorkerStats::redeploys`] counts.
+//! 3. **A merge by index.** Workers append finished cells to shards they
+//!    own, and the shards are merged by grid index once, at join, so the
+//!    claim order never shows in the output.
 
 use crate::harness::{run_eval_cell, CellRunner, EvalResult};
-use crossbeam::deque::{Steal, Stealer, Worker};
 use simdfs::{BugSet, Flavor};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use themis::VarianceWeights;
 
 /// A campaign matrix: the cross product of flavors, strategies and seeds,
@@ -57,12 +50,6 @@ pub struct GridSpec {
     pub weights: VarianceWeights,
     /// Worker threads. 0 means one per available core.
     pub workers: usize,
-    /// Deploy every cell's simulator at this many storage nodes
-    /// ([`simdfs::FlavorConfig::scaled`]) instead of the flavor's stock
-    /// topology. `None` (the default) keeps stock. This is what lets the
-    /// BENCH_4 scaling artifact run heavy ~100 ms cells through the same
-    /// executor the paper tables use.
-    pub scale_nodes: Option<u32>,
 }
 
 impl GridSpec {
@@ -85,7 +72,6 @@ impl GridSpec {
             threshold_t: 0.25,
             weights: VarianceWeights::default(),
             workers: 0,
-            scale_nodes: None,
         }
     }
 
@@ -163,21 +149,14 @@ pub struct GridCell {
     pub eval: EvalResult,
 }
 
-/// Per-worker execution counters. Under stealing, "which worker ran cell
-/// i" is schedule-dependent, so a bare completion count says nothing
-/// useful; these three numbers are what straggler diagnosis actually
-/// needs: how much work each worker did, how much of it was taken from
-/// other workers' queues, and how long it was busy doing it.
+/// Per-worker execution counters. Which worker claims which cell depends
+/// on thread timing, so these say how much work each worker did and how
+/// long it was busy, not which cells it ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Cells this worker executed (local + stolen).
+    /// Cells this worker executed.
     pub cells_run: u64,
-    /// Of [`WorkerStats::cells_run`], cells seeded into *another*
-    /// worker's deque (tracked by origin tag, so a cell stolen in a batch
-    /// and later popped locally still counts as stolen).
-    pub cells_stolen: u64,
-    /// Wall-clock nanoseconds spent executing cells (excludes idle
-    /// spinning while out of work).
+    /// Wall-clock nanoseconds spent executing cells.
     pub busy_ns: u64,
     /// Full simulator deploys this worker performed — at most one per
     /// flavor it touched, thanks to [`CellRunner`] reuse.
@@ -216,7 +195,6 @@ pub fn run_cell(spec: &GridSpec, index: usize) -> GridCell {
         spec.threshold_t,
         spec.weights,
         fault_profile,
-        spec.scale_nodes,
     );
     GridCell {
         index,
@@ -227,11 +205,6 @@ pub fn run_cell(spec: &GridSpec, index: usize) -> GridCell {
         eval,
     }
 }
-
-/// Keeps the shared remaining-cells counter on its own cache line so the
-/// only genuinely shared hot word never false-shares with worker state.
-#[repr(align(64))]
-struct CacheAligned<T>(T);
 
 /// Context captured when a worker's task panics: which worker was
 /// running which task, and the panic payload rendered to a string.
@@ -254,30 +227,26 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Generic work-stealing executor: runs tasks `0..n` across `workers`
+/// Generic parallel executor: runs tasks `0..n` across `workers` scoped
 /// threads and returns every task's result (indexed by task id) plus
-/// per-worker counters.
+/// per-worker counters. `bench::run_grid` runs on it, and so does the
+/// repo benchmark's `paper-matrix` workload: `benchmark/src/campaigns.rs`
+/// calls `bench::steal_execute`, which is why the function keeps the
+/// name it had when idle workers stole queued tasks from each other.
 ///
-/// Task ids are seeded into per-worker FIFO deques with a strided
-/// partition (`id % workers`); an idle worker steals half a victim's
-/// deque at a time, scanning victims in ring order starting from its
-/// right-hand neighbor. Tasks carry their origin worker, so
-/// [`WorkerStats::cells_stolen`] counts true migrations even when a
-/// batch-stolen task is popped locally later.
+/// Each worker claims the next task id from one shared counter until the
+/// ids run out, so a slow task holds up only the worker running it.
 ///
 /// `make_worker` runs once *inside* each spawned thread and builds that
 /// worker's task closure — worker state (simulator pools here) never
 /// crosses a thread boundary, so it does not need to be `Send`. The task
 /// closure must be a pure function of the task id; the executor asserts
-/// every id is executed exactly once, and the strided seeding plus FIFO
-/// discipline keep the *schedule* reproducible for a given (n, workers)
-/// when no stealing occurs.
+/// every id is executed exactly once.
 ///
 /// If a task panics, the executor aborts the grid cleanly: the unwind is
-/// caught, sibling workers stop draining (instead of spinning forever on
-/// the remaining-cells counter), every completed shard is still merged,
-/// and the re-raised panic names the worker, the in-flight cell index,
-/// the original payload, and how many cells had completed.
+/// caught, sibling workers stop claiming tasks, every completed shard is
+/// still merged, and the re-raised panic names the worker, the in-flight
+/// cell index, the original payload, and how many cells had completed.
 pub fn steal_execute<T, M, F>(
     n: usize,
     workers: usize,
@@ -289,90 +258,45 @@ where
     F: FnMut(usize) -> T,
 {
     assert!(workers >= 1, "steal_execute needs at least one worker");
-    let queues: Vec<Worker<(usize, usize)>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-    for i in 0..n {
-        // Strided initial partition: contiguous ranges correlate with the
-        // heavy grid axes (all of one flavor's cells are adjacent), so
-        // deal indices round-robin instead.
-        queues[i % workers].push((i, i % workers));
-    }
-    let stealers: Vec<Stealer<(usize, usize)>> = queues.iter().map(|q| q.stealer()).collect();
-    let stealers = &stealers;
-    let remaining = CacheAligned(AtomicUsize::new(n));
-    let remaining = &remaining;
+    // The counter only hands out ids; results travel through the shards
+    // the join returns, so the claim needs no ordering beyond atomicity.
+    let next = &AtomicUsize::new(0);
     let make_worker = &make_worker;
     // A panicking task must not take its context down with it: the worker
     // catches the unwind, records (worker, task, payload) here, and raises
-    // the abort flag so sibling workers stop draining instead of spinning
-    // on a remaining-count that can no longer reach zero.
-    let aborted = &std::sync::atomic::AtomicBool::new(false);
+    // the abort flag so sibling workers stop claiming tasks.
+    let aborted = &AtomicBool::new(false);
     let panics = &std::sync::Mutex::new(Vec::<TaskPanic>::new());
 
-    let shards: Vec<(Vec<(usize, T)>, WorkerStats)> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = queues
-            .into_iter()
-            .enumerate()
-            .map(|(w, q)| {
-                s.spawn(move |_| {
+    let shards: Vec<(Vec<(usize, T)>, WorkerStats)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                s.spawn(move || {
                     let mut run = make_worker(w);
                     let mut stats = WorkerStats::default();
                     let mut shard: Vec<(usize, T)> = Vec::with_capacity(n / workers + 1);
-                    loop {
-                        if aborted.load(Ordering::Acquire) {
+                    while !aborted.load(Ordering::Acquire) {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
                             break;
                         }
-                        // Own deque first; then scan victims ring-order.
-                        let task = q.pop().or_else(|| {
-                            (1..workers).find_map(|k| {
-                                let victim = &stealers[(w + k) % workers];
-                                loop {
-                                    match victim.steal_batch_and_pop(&q) {
-                                        Steal::Success(t) => break Some(t),
-                                        Steal::Empty => break None,
-                                        Steal::Retry => continue,
-                                    }
-                                }
-                            })
-                        });
-                        match task {
-                            Some((i, origin)) => {
-                                let t0 = std::time::Instant::now();
-                                let result =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        run(i)
-                                    }));
-                                stats.busy_ns += t0.elapsed().as_nanos() as u64;
-                                match result {
-                                    Ok(t) => {
-                                        stats.cells_run += 1;
-                                        if origin != w {
-                                            stats.cells_stolen += 1;
-                                        }
-                                        shard.push((i, t));
-                                        remaining.0.fetch_sub(1, Ordering::Release);
-                                    }
-                                    Err(payload) => {
-                                        panics.lock().expect("panic log poisoned").push(
-                                            TaskPanic {
-                                                worker: w,
-                                                task: i,
-                                                message: payload_message(&*payload),
-                                            },
-                                        );
-                                        aborted.store(true, Ordering::Release);
-                                        break;
-                                    }
-                                }
+                        let t0 = std::time::Instant::now();
+                        let result =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(i)));
+                        stats.busy_ns += t0.elapsed().as_nanos() as u64;
+                        match result {
+                            Ok(t) => {
+                                stats.cells_run += 1;
+                                shard.push((i, t));
                             }
-                            None => {
-                                // Nothing stealable *right now*, but a task
-                                // in flight elsewhere may still land in a
-                                // victim's deque via a batch steal — only
-                                // the global counter says we are done.
-                                if remaining.0.load(Ordering::Acquire) == 0 {
-                                    break;
-                                }
-                                std::thread::yield_now();
+                            Err(payload) => {
+                                panics.lock().expect("panic log poisoned").push(TaskPanic {
+                                    worker: w,
+                                    task: i,
+                                    message: payload_message(&*payload),
+                                });
+                                aborted.store(true, Ordering::Release);
+                                break;
                             }
                         }
                     }
@@ -388,8 +312,7 @@ where
                     .unwrap_or_else(|_| panic!("grid worker {w} panicked outside task execution"))
             })
             .collect()
-    })
-    .expect("grid scope failed");
+    });
 
     let mut stats = Vec::with_capacity(workers);
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
@@ -420,13 +343,13 @@ where
     (results, stats)
 }
 
-/// Executes the full matrix on the work-stealing pool (see the module
-/// docs for the architecture). Every worker lazily builds one
-/// [`CellRunner`] per flavor on first contact and reuses it — via
-/// base-mark restore — for every later cell of that flavor, so the
-/// executor's deploy count is `Σ` (flavors each worker touched), not the
-/// cell count. Results are bit-identical to [`run_cell`]'s fresh-deploy
-/// reference at every worker count and steal schedule.
+/// Executes the full matrix on the worker pool (see the module docs for
+/// the architecture). Every worker lazily builds one [`CellRunner`] per
+/// flavor on first contact and reuses it — via base-mark restore — for
+/// every later cell of that flavor, so the executor's deploy count is `Σ`
+/// (flavors each worker touched), not the cell count. Results are
+/// bit-identical to [`run_cell`]'s fresh-deploy reference at every worker
+/// count and claim order.
 pub fn run_grid(spec: &GridSpec) -> GridOutcome {
     let n = spec.cells();
     if n == 0 {
@@ -447,7 +370,7 @@ pub fn run_grid(spec: &GridSpec) -> GridOutcome {
             let (flavor, strategy, seed, fault_profile) = spec.coords(i);
             let runner = pool[spec.flavor_slot(i)].get_or_insert_with(|| {
                 redeploy_counts[w].fetch_add(1, Ordering::Relaxed);
-                CellRunner::new(flavor, spec.bugs.clone(), spec.scale_nodes)
+                CellRunner::new(flavor, spec.bugs.clone())
             });
             let eval = runner.run(
                 strategy,
@@ -559,7 +482,6 @@ mod tests {
         assert_eq!(out.worker_stats.len(), 1);
         let st = out.worker_stats[0];
         assert_eq!(st.cells_run, 4);
-        assert_eq!(st.cells_stolen, 0, "one worker has nobody to steal from");
         assert!(st.busy_ns > 0);
     }
 
@@ -584,52 +506,6 @@ mod tests {
             (1..=4).contains(&redeploys),
             "2 workers × 2 flavors caps deploys at 4, got {redeploys}"
         );
-    }
-
-    #[test]
-    fn strided_seeding_interleaves_flavors_across_workers() {
-        // Generic-executor check: with 2 workers and no stealing possible
-        // (both equally loaded, trivial tasks), worker w must run exactly
-        // the ids with id % 2 == w.
-        let (results, stats) = steal_execute(8, 2, |w| move |i: usize| (w, i));
-        for (i, (_w, id)) in results.iter().enumerate() {
-            assert_eq!(*id, i, "results are keyed by task id");
-        }
-        let total: u64 = stats.iter().map(|s| s.cells_run).sum();
-        assert_eq!(total, 8);
-        // Every task landed initially on id % 2; stolen or not, the
-        // origin-tag bookkeeping must balance.
-        let stolen: u64 = stats.iter().map(|s| s.cells_stolen).sum();
-        assert!(stolen <= 8);
-    }
-
-    #[test]
-    fn uneven_task_costs_get_stolen_not_stranded() {
-        use std::sync::atomic::AtomicU64 as A;
-        // Task 0 is ~1000x heavier than the rest and is seeded to worker
-        // 0 along with tasks 2, 4, 6...; with stealing, other workers must
-        // pick up worker 0's backlog: total cells_run by workers 1..3
-        // must exceed their own initial share.
-        let heavy_runs = A::new(0);
-        let (results, stats) = steal_execute(64, 4, |_w| {
-            let heavy_runs = &heavy_runs;
-            move |i: usize| {
-                if i == 0 {
-                    heavy_runs.fetch_add(1, Ordering::Relaxed);
-                    // Busy loop long enough for the others to drain and
-                    // start stealing.
-                    let mut acc = 0u64;
-                    for k in 0..2_000_000u64 {
-                        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
-                    }
-                    assert_ne!(acc, 1); // keep the loop un-optimizable
-                }
-                i as u64
-            }
-        });
-        assert_eq!(results, (0..64).map(|i| i as u64).collect::<Vec<_>>());
-        assert_eq!(stats.iter().map(|s| s.cells_run).sum::<u64>(), 64);
-        assert_eq!(heavy_runs.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -88,7 +88,6 @@ pub fn run_eval(
         threshold_t,
         weights,
         "none",
-        None,
     )
 }
 
@@ -147,10 +146,10 @@ fn eval_prepared(
     }
 }
 
-/// Runs one attributed campaign from a fresh, dedicated deploy (scaled to
-/// `scale_nodes` storage nodes when given). This is exactly what a
-/// [`CellRunner`] cell produces, minus any reuse machinery — the
-/// fresh-deploy reference the grid determinism tests compare against.
+/// Runs one attributed campaign from a fresh, dedicated deploy. This is
+/// exactly what a [`CellRunner`] cell produces, minus any reuse
+/// machinery — the fresh-deploy reference the grid determinism tests
+/// compare against.
 #[allow(clippy::too_many_arguments)]
 pub fn run_eval_cell(
     flavor: Flavor,
@@ -161,12 +160,8 @@ pub fn run_eval_cell(
     threshold_t: f64,
     weights: VarianceWeights,
     fault_profile: &str,
-    scale_nodes: Option<u32>,
 ) -> EvalResult {
-    let sim = match scale_nodes {
-        Some(n) => simdfs::DfsSim::with_config(simdfs::FlavorConfig::scaled(flavor, n), bugs),
-        None => simdfs::DfsSim::new(flavor, bugs),
-    };
+    let sim = simdfs::DfsSim::new(flavor, bugs);
     let mut adaptor = SimAdaptor::from_handle(std::rc::Rc::new(std::cell::RefCell::new(sim)));
     adaptor.command_log_cap = 0;
     eval_prepared(
@@ -190,34 +185,17 @@ pub fn run_eval_cell(
 pub struct CellRunner {
     adaptor: SimAdaptor,
     flavor: Flavor,
-    /// Full simulator deploys this runner has performed. Stays at 1 for
-    /// the runner's whole lifetime — the counter the BENCH_4 artifact
-    /// surfaces to prove reuse replaced per-cell redeploys.
-    pub redeploys: u64,
 }
 
 impl CellRunner {
-    /// Deploys one simulator for `flavor` (at `scale_nodes` storage nodes
-    /// when given, the flavor's stock topology otherwise) and marks its
-    /// base. This is the only full deploy the runner ever performs.
-    pub fn new(flavor: Flavor, bugs: BugSet, scale_nodes: Option<u32>) -> Self {
-        let sim = match scale_nodes {
-            Some(n) => simdfs::DfsSim::with_config(simdfs::FlavorConfig::scaled(flavor, n), bugs),
-            None => simdfs::DfsSim::new(flavor, bugs),
-        };
+    /// Deploys one simulator for `flavor` and marks its base. This is the
+    /// only full deploy the runner ever performs.
+    pub fn new(flavor: Flavor, bugs: BugSet) -> Self {
+        let sim = simdfs::DfsSim::new(flavor, bugs);
         let mut adaptor = SimAdaptor::from_handle(std::rc::Rc::new(std::cell::RefCell::new(sim)));
         adaptor.command_log_cap = 0;
         adaptor.mark_base();
-        CellRunner {
-            adaptor,
-            flavor,
-            redeploys: 1,
-        }
-    }
-
-    /// The flavor this runner deploys.
-    pub fn flavor(&self) -> Flavor {
-        self.flavor
+        CellRunner { adaptor, flavor }
     }
 
     /// Runs one attributed campaign cell from the base state.

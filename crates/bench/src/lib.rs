@@ -11,7 +11,6 @@ pub mod grid;
 pub mod harness;
 pub mod perf;
 pub mod scale;
-pub mod scaling;
 pub mod tables;
 
 pub use grid::{run_cell, run_grid, steal_execute, GridCell, GridOutcome, GridSpec, WorkerStats};

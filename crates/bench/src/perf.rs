@@ -1,6 +1,6 @@
 //! One-shot performance measurements behind the `BENCH_1.json` artifact
 //! written by `repro perf` (campaign throughput and grid-executor scaling
-//! across worker counts), plus the timing and JSON helpers the other
+//! across worker counts), plus the host probe and JSON helpers the other
 //! bench artifacts share.
 
 use crate::grid::{run_cell, run_grid, GridSpec};
@@ -8,24 +8,6 @@ use crate::harness::run_eval;
 use simdfs::{BugSet, Flavor};
 use std::time::Instant;
 use themis::VarianceWeights;
-
-/// One timed micro-measurement: `samples` batches of `iters_per_sample`
-/// calls (see `sample`).
-#[derive(Debug, Clone)]
-pub struct RawMeasurement {
-    /// `group/function` identifier.
-    pub id: String,
-    /// Samples taken.
-    pub samples: u64,
-    /// Iterations per sample.
-    pub iters_per_sample: u64,
-    /// Mean seconds per iteration.
-    pub mean_s: f64,
-    /// Fastest sample, seconds per iteration.
-    pub min_s: f64,
-    /// Slowest sample, seconds per iteration.
-    pub max_s: f64,
-}
 
 /// Timing of one full campaign.
 #[derive(Debug, Clone)]
@@ -58,34 +40,8 @@ impl CampaignPerf {
     }
 }
 
-/// Times `f` and reports seconds-per-iteration statistics over
-/// `samples` batches of `iters` calls each.
-pub(crate) fn sample(id: &str, samples: u64, iters: u64, mut f: impl FnMut()) -> RawMeasurement {
-    let mut mean_acc = 0.0;
-    let mut min_s = f64::INFINITY;
-    let mut max_s = 0.0f64;
-    for _ in 0..samples {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let per = start.elapsed().as_secs_f64() / iters as f64;
-        mean_acc += per;
-        min_s = min_s.min(per);
-        max_s = max_s.max(per);
-    }
-    RawMeasurement {
-        id: id.into(),
-        samples,
-        iters_per_sample: iters,
-        mean_s: mean_acc / samples as f64,
-        min_s,
-        max_s,
-    }
-}
-
-/// Host CPU topology, recorded in every BENCH_*.json so a CI scaling gate
-/// can distinguish "no speedup" from "single-core host" and skip honestly.
+/// Host CPU topology, recorded in every BENCH_*.json so a timing can be
+/// read against the parallelism the host offered.
 #[derive(Debug, Clone, Copy)]
 pub struct HostTopology {
     /// What `std::thread::available_parallelism()` reported (affinity- and
@@ -111,11 +67,6 @@ impl HostTopology {
             available_parallelism: ap,
             logical_cores: logical,
         }
-    }
-
-    /// Whether this host can exhibit real parallel speedup at all.
-    pub fn multi_core(&self) -> bool {
-        self.available_parallelism > 1
     }
 
     /// The topology as a JSON object (no trailing newline).
@@ -198,7 +149,7 @@ pub fn scaling_spec(hours: u64) -> GridSpec {
     )
 }
 
-/// Runs `spec` through the work-stealing executor once per worker count
+/// Runs `spec` through the grid executor once per worker count
 /// (always including 1, the denominator of every speedup), timing each
 /// pass, and checks every pass — the one-worker run included, since it
 /// reuses simulators like the rest — against an untimed fresh-deploy
@@ -303,23 +254,6 @@ pub fn bench_json(campaign: &CampaignPerf, grid: &GridScaling) -> String {
     }
     out.push_str("]\n  }\n}\n");
     out
-}
-
-pub(crate) fn push_measurements(out: &mut String, raw: &[RawMeasurement], indent: &str) {
-    for (i, m) in raw.iter().enumerate() {
-        out.push_str(indent);
-        out.push_str("{\"id\": ");
-        push_json_str(out, &m.id);
-        out.push_str(&format!(
-            ", \"samples\": {}, \"iters_per_sample\": {}, \"mean_s\": {}, \"min_s\": {}, \"max_s\": {}}}{}\n",
-            m.samples,
-            m.iters_per_sample,
-            json_f64(m.mean_s),
-            json_f64(m.min_s),
-            json_f64(m.max_s),
-            if i + 1 < raw.len() { "," } else { "" },
-        ));
-    }
 }
 
 #[cfg(test)]

@@ -3,13 +3,9 @@
 //! (proving the streaming accumulators keep `sample_variance` O(1)),
 //! heavy-traffic campaigns (Zipfian hotspot, diurnal cycle, flash crowd)
 //! on scaled clusters with a mean-field cross-check of the simulated mean
-//! load trajectory, a same-seed determinism check at 10k nodes, and a
-//! worker-scaling pass over large-topology cells (the grid cells in
-//! `BENCH_1.json` finish in milliseconds, so scheduling overhead masks the
-//! worker speedup there; these cells are three orders of magnitude
-//! heavier).
+//! load trajectory, and a same-seed determinism check at 10k nodes.
 
-use crate::perf::{json_f64, push_json_str, push_measurements, sample, RawMeasurement};
+use crate::perf::{json_f64, push_json_str};
 use adaptors::SimAdaptor;
 use simdfs::{BugSet, DfsRequest, DfsSim, Flavor, FlavorConfig, MeanFieldModel, MIB};
 use std::cell::RefCell;
@@ -19,6 +15,67 @@ use std::time::Instant;
 use themis::spec::{Operand, Operation, Operator};
 use themis::DfsAdaptor;
 use workload::{DiurnalCycle, FlashCrowd, Workload, ZipfianHotspot};
+
+/// One timed micro-measurement: `samples` batches of `iters_per_sample`
+/// calls (see `sample`).
+#[derive(Debug, Clone)]
+pub struct RawMeasurement {
+    /// `group/function` identifier.
+    pub id: String,
+    /// Samples taken.
+    pub samples: u64,
+    /// Iterations per sample.
+    pub iters_per_sample: u64,
+    /// Mean seconds per iteration.
+    pub mean_s: f64,
+    /// Fastest sample, seconds per iteration.
+    pub min_s: f64,
+    /// Slowest sample, seconds per iteration.
+    pub max_s: f64,
+}
+
+/// Times `f` and reports seconds-per-iteration statistics over
+/// `samples` batches of `iters` calls each.
+fn sample(id: &str, samples: u64, iters: u64, mut f: impl FnMut()) -> RawMeasurement {
+    let mut mean_acc = 0.0;
+    let mut min_s = f64::INFINITY;
+    let mut max_s = 0.0f64;
+    for _ in 0..samples {
+        let start = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        let per = start.elapsed().as_secs_f64() / iters as f64;
+        mean_acc += per;
+        min_s = min_s.min(per);
+        max_s = max_s.max(per);
+    }
+    RawMeasurement {
+        id: id.into(),
+        samples,
+        iters_per_sample: iters,
+        mean_s: mean_acc / samples as f64,
+        min_s,
+        max_s,
+    }
+}
+
+fn push_measurements(out: &mut String, raw: &[RawMeasurement], indent: &str) {
+    for (i, m) in raw.iter().enumerate() {
+        out.push_str(indent);
+        out.push_str("{\"id\": ");
+        push_json_str(out, &m.id);
+        out.push_str(&format!(
+            ", \"samples\": {}, \"iters_per_sample\": {}, \"mean_s\": {}, \"min_s\": {}, \"max_s\": {}}}{}\n",
+            m.samples,
+            m.iters_per_sample,
+            json_f64(m.mean_s),
+            json_f64(m.min_s),
+            json_f64(m.max_s),
+            if i + 1 < raw.len() { "," } else { "" },
+        ));
+    }
+}
 
 /// Per-operation costs measured on one cluster size.
 #[derive(Debug, Clone)]
@@ -297,87 +354,12 @@ pub fn check_campaign_determinism(
     }
 }
 
-/// Wall-clock of the same heavy-cell matrix at several worker counts.
-///
-/// This is the corrected form of the `BENCH_1.json` grid-scaling
-/// measurement: its campaign cells finish in single-digit milliseconds,
-/// so per-cell scheduling overhead swamps the worker speedup. A heavy
-/// cell builds a large topology and pushes thousands of operations,
-/// giving each worker enough work to show real scaling.
-#[derive(Debug, Clone)]
-pub struct HeavyGridScaling {
-    /// Cells in the matrix (one heavy campaign per seed).
-    pub cells: usize,
-    /// Storage fleet size per cell.
-    pub nodes: u32,
-    /// `(workers, wall_seconds)` per measured pass.
-    pub runs: Vec<(usize, f64)>,
-    /// Whether every parallel pass reproduced the serial reports exactly.
-    pub identical_to_serial: bool,
-}
-
-impl HeavyGridScaling {
-    /// Wall seconds for the given worker count, if measured.
-    pub fn seconds_at(&self, workers: usize) -> Option<f64> {
-        self.runs
-            .iter()
-            .find(|(w, _)| *w == workers)
-            .map(|(_, s)| *s)
-    }
-
-    /// Serial-over-parallel speedup for the given worker count.
-    pub fn speedup_at(&self, workers: usize) -> Option<f64> {
-        Some(self.seconds_at(1)? / self.seconds_at(workers)?)
-    }
-}
-
-/// Runs one heavy campaign per seed, serially and then at each requested
-/// worker count on the grid's work-stealing executor
-/// ([`crate::grid::steal_execute`] — the ad-hoc claim-cursor pool this
-/// module used to carry is gone), checking parallel reports against
-/// serial.
-pub fn measure_heavy_grid_scaling(
-    flavor: Flavor,
-    nodes: u32,
-    seeds: &[u64],
-    blocks: u64,
-    worker_counts: &[usize],
-) -> HeavyGridScaling {
-    let start = Instant::now();
-    let serial: Vec<String> = seeds
-        .iter()
-        .map(|&s| run_heavy_campaign(flavor, nodes, s, blocks).report)
-        .collect();
-    let mut runs = vec![(1usize, start.elapsed().as_secs_f64())];
-    let mut identical = true;
-
-    for &workers in worker_counts {
-        if workers <= 1 {
-            continue;
-        }
-        let start = Instant::now();
-        let (reports, _stats) = crate::grid::steal_execute(seeds.len(), workers, |_w| {
-            move |i: usize| run_heavy_campaign(flavor, nodes, seeds[i], blocks).report
-        });
-        runs.push((workers, start.elapsed().as_secs_f64()));
-        identical &= reports.iter().zip(&serial).all(|(got, want)| got == want);
-    }
-
-    HeavyGridScaling {
-        cells: seeds.len(),
-        nodes,
-        runs,
-        identical_to_serial: identical,
-    }
-}
-
 /// Renders the scaling artifact (`BENCH_3.json`).
 pub fn bench3_json(
     cores: usize,
     variance: &VarianceScaling,
     campaigns: &[HeavyCampaign],
     determinism: &DeterminismCheck,
-    grid: &HeavyGridScaling,
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"themis-bench-v3\",\n");
@@ -454,43 +436,8 @@ pub fn bench3_json(
     out.push_str(&format!("    \"identical\": {},\n", determinism.identical));
     out.push_str("    \"report\": ");
     push_json_str(&mut out, &determinism.campaign.report);
-    out.push_str("\n  },\n");
-
-    out.push_str("  \"heavy_grid\": {\n");
-    out.push_str(&format!("    \"cells\": {},\n", grid.cells));
-    out.push_str(&format!("    \"nodes\": {},\n", grid.nodes));
-    out.push_str(&format!(
-        "    \"identical_to_serial\": {},\n",
-        grid.identical_to_serial
-    ));
-    out.push_str("    \"runs\": [");
-    for (i, (workers, secs)) in grid.runs.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"workers\": {workers}, \"wall_s\": {}, \"speedup\": {}}}",
-            json_f64(*secs),
-            json_f64(grid.speedup_at(*workers).unwrap_or(f64::NAN)),
-        ));
-    }
-    out.push_str("]\n  }\n}\n");
+    out.push_str("\n  }\n}\n");
     out
-}
-
-/// Writes the scaling artifact to `path`.
-pub fn write_bench3_json(
-    path: &std::path::Path,
-    cores: usize,
-    variance: &VarianceScaling,
-    campaigns: &[HeavyCampaign],
-    determinism: &DeterminismCheck,
-    grid: &HeavyGridScaling,
-) -> std::io::Result<()> {
-    std::fs::write(
-        path,
-        bench3_json(cores, variance, campaigns, determinism, grid),
-    )
 }
 
 #[cfg(test)]
@@ -531,14 +478,6 @@ mod tests {
         assert!(d.identical, "same-seed reports diverged");
         let other = run_heavy_campaign(Flavor::GlusterFs, 120, 8, 3);
         assert_ne!(d.campaign.report, other.report, "seed must matter");
-    }
-
-    #[test]
-    fn heavy_grid_parallel_matches_serial() {
-        let g = measure_heavy_grid_scaling(Flavor::Hdfs, 60, &[1, 2, 3, 4], 2, &[2]);
-        assert!(g.identical_to_serial);
-        assert_eq!(g.cells, 4);
-        assert!(g.seconds_at(1).is_some() && g.seconds_at(2).is_some());
     }
 
     #[test]
@@ -583,19 +522,12 @@ mod tests {
             campaign: c.clone(),
             identical: true,
         };
-        let g = HeavyGridScaling {
-            cells: 8,
-            nodes: 500,
-            runs: vec![(1, 4.0), (4, 1.25)],
-            identical_to_serial: true,
-        };
-        let j = bench3_json(4, &v, std::slice::from_ref(&c), &d, &g);
+        let j = bench3_json(4, &v, std::slice::from_ref(&c), &d);
         assert!(j.contains("\"schema\": \"themis-bench-v3\""));
         assert!(j.contains("\"schema_version\": 3"));
         assert!(j.contains("\"variance_probe_cost_ratio\""));
         assert!(j.contains("\"mean_field_ok\": true"));
         assert!(j.contains("\\\"quoted\\\""));
-        assert!(j.contains("\"speedup\": 3.2"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 }

@@ -28,11 +28,17 @@ fn fault_spec(workers: usize) -> GridSpec {
     }
 }
 
-fn cell<'a>(cells: &'a [GridCell], flavor: Flavor, profile: &str) -> &'a GridCell {
-    cells
-        .iter()
-        .find(|c| c.flavor == flavor && c.fault_profile == profile)
-        .expect("cell present")
+/// Runs the one `fault_spec` cell at `(flavor, profile)` from a fresh
+/// deploy.
+fn cell(flavor: Flavor, profile: &str) -> GridCell {
+    let spec = fault_spec(1);
+    let index = (0..spec.cells())
+        .find(|&i| {
+            let (f, _, _, p) = spec.coords(i);
+            f == flavor && p == profile
+        })
+        .expect("cell present");
+    run_cell(&spec, index)
 }
 
 fn confirmed_kinds(c: &GridCell) -> Vec<ImbalanceKind> {
@@ -79,36 +85,33 @@ fn fault_grid_is_bit_identical_across_runs_and_workers() {
 
 #[test]
 fn faults_change_detector_outcomes_vs_baseline() {
-    let spec = fault_spec(0);
-    let cells = run_grid(&spec).cells;
-
     // Crash: the crashed storage node must surface as a confirmed Crash
     // failure — impossible in the fault-free cell.
-    let baseline = cell(&cells, Flavor::Hdfs, "none");
-    let crash = cell(&cells, Flavor::Hdfs, "crash");
+    let baseline = cell(Flavor::Hdfs, "none");
+    let crash = cell(Flavor::Hdfs, "crash");
     assert!(
-        confirmed_kinds(crash).contains(&ImbalanceKind::Crash),
+        confirmed_kinds(&crash).contains(&ImbalanceKind::Crash),
         "crash profile must confirm a Crash failure, got {:?}",
-        confirmed_kinds(crash)
+        confirmed_kinds(&crash)
     );
-    assert!(!confirmed_kinds(baseline).contains(&ImbalanceKind::Crash));
+    assert!(!confirmed_kinds(&baseline).contains(&ImbalanceKind::Crash));
     assert_ne!(crash.eval.campaign, baseline.eval.campaign);
 
     // Slow management node: factor-6 latency/CPU skew on one of HDFS's
     // two management nodes clears the CPU ratio and load gates.
-    let slow = cell(&cells, Flavor::Hdfs, "slow");
+    let slow = cell(Flavor::Hdfs, "slow");
     assert!(
-        confirmed_kinds(slow).contains(&ImbalanceKind::Cpu),
+        confirmed_kinds(&slow).contains(&ImbalanceKind::Cpu),
         "slow profile must confirm a Cpu imbalance, got {:?}",
-        confirmed_kinds(slow)
+        confirmed_kinds(&slow)
     );
     assert_ne!(slow.eval.campaign, baseline.eval.campaign);
 
     // Lossy migration: CephFS rebalances continuously, so a 40% loss rate
     // sheds far more bytes than the fault-free cell (which only loses
     // replicas displaced by fuzzer node removals that found no new home).
-    let ceph_base = cell(&cells, Flavor::CephFs, "none");
-    let lossy = cell(&cells, Flavor::CephFs, "lossy");
+    let ceph_base = cell(Flavor::CephFs, "none");
+    let lossy = cell(Flavor::CephFs, "lossy");
     assert!(
         lossy.eval.bytes_lost > 2 * ceph_base.eval.bytes_lost,
         "lossy profile must shed migration bytes well beyond baseline \

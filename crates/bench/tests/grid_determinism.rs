@@ -64,34 +64,3 @@ fn grid_results_are_identical_to_serial_at_any_worker_count() {
         }
     }
 }
-
-#[test]
-fn scaled_grid_cells_are_identical_to_serial_reference() {
-    // The BENCH_4 configuration in miniature: heavy cells on a scaled
-    // topology, reused per-worker sims vs. fresh-deploy serial reference.
-    let base = GridSpec {
-        scale_nodes: Some(60),
-        ..GridSpec::new(
-            vec![Flavor::Hdfs, Flavor::CephFs],
-            vec!["Themis".into()],
-            vec![0xbe, 21],
-            BugSet::None,
-            1,
-        )
-    };
-    let serial: Vec<_> = (0..base.cells()).map(|i| run_cell(&base, i)).collect();
-    for workers in [2, 4] {
-        let out = run_grid(&GridSpec {
-            workers,
-            ..base.clone()
-        });
-        for (g, s) in out.cells.iter().zip(&serial) {
-            assert_eq!(
-                g.eval.campaign.to_json(),
-                s.eval.campaign.to_json(),
-                "scaled cell {} diverged at workers={workers}",
-                g.index
-            );
-        }
-    }
-}

@@ -28,9 +28,13 @@ fn run_repro(tag: &str, args: &[&str]) -> (std::process::ExitStatus, String, boo
 
 #[test]
 fn unknown_artifact_is_a_usage_error() {
-    // The second name is a removed artifact: it must be rejected, not
+    // The later names are removed artifacts: each must be rejected, not
     // accepted and silently skipped.
-    for (tag, name) in [("unknown", "no-such-artifact"), ("removed", "scale100k")] {
+    for (tag, name) in [
+        ("unknown", "no-such-artifact"),
+        ("removed", "scale100k"),
+        ("removed-scaling", "scaling"),
+    ] {
         let (status, stderr, results) = run_repro(tag, &[name]);
         assert!(!status.success(), "{name}: exit status {status}");
         assert_eq!(status.code(), Some(2), "{name}: not a usage error");

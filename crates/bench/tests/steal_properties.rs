@@ -1,7 +1,7 @@
-//! Property tests of the work-stealing executor: whatever the steal
-//! schedule — forced by random, wildly uneven task costs and random
-//! worker counts — results stay a pure function of the task id, every
-//! task runs exactly once, and the per-worker counters add up.
+//! Property tests of the grid executor's contract: whatever order the
+//! workers claim tasks in — varied by random, wildly uneven task costs
+//! and random worker counts — every task runs exactly once, its result
+//! lands at its task id, and the per-worker counters add up.
 
 use bench::grid::{steal_execute, WorkerStats};
 use proptest::prelude::*;
@@ -39,8 +39,8 @@ fn checked_run(costs: &[u64], workers: usize) -> (Vec<u64>, Vec<WorkerStats>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Steal-schedule perturbation never changes results: a serial run
-    /// and parallel runs at a random worker count over tasks with random
+    /// Claim-order perturbation never changes results: a serial run and
+    /// parallel runs at a random worker count over tasks with random
     /// heavily-skewed costs produce identical outputs, and the counters
     /// account for every cell exactly once.
     #[test]
@@ -50,8 +50,8 @@ proptest! {
         n in 1usize..=48,
     ) {
         // Skewed cost pattern: most tasks are free, a few are ~100x
-        // heavier, placed by the seed. This forces real steals — heavy
-        // tasks strand their home worker's deque.
+        // heavier, placed by the seed, so the workers fall out of step
+        // and claim tasks in varied orders.
         let costs: Vec<u64> = (0..n)
             .map(|i| {
                 let h = seed
@@ -62,14 +62,11 @@ proptest! {
             .collect();
         let (serial, serial_stats) = checked_run(&costs, 1);
         prop_assert_eq!(serial_stats.len(), 1);
-        prop_assert_eq!(serial_stats[0].cells_stolen, 0);
         let (parallel, stats) = checked_run(&costs, workers);
         prop_assert_eq!(&parallel, &serial, "workers={} diverged", workers);
         prop_assert_eq!(stats.len(), workers);
         let run: u64 = stats.iter().map(|s| s.cells_run).sum();
         prop_assert_eq!(run, n as u64);
-        let stolen: u64 = stats.iter().map(|s| s.cells_stolen).sum();
-        prop_assert!(stolen <= n as u64);
     }
 }
 

@@ -1,350 +1,7 @@
-//! Offline stand-in for `crossbeam`, covering the scoped-thread API this
-//! workspace uses (`crossbeam::thread::scope` + `Scope::spawn` +
-//! `ScopedJoinHandle::join`) and the work-stealing deque API
-//! (`crossbeam::deque::{Worker, Stealer, Steal}`). Scoped threads are
-//! implemented directly over [`std::thread::scope`], which provides the
-//! same structured-concurrency guarantee (all spawned threads join before
-//! `scope` returns). The deque trades the real crate's lock-free Chase–Lev
-//! algorithm for a mutex-guarded ring (the workspace forbids `unsafe`);
-//! the *interface contract* — owner pushes/pops one end, thieves steal the
-//! other, every element delivered exactly once — is identical, so swapping
-//! the real crate back in is a dependency change only.
-
-pub mod thread {
-    //! Scoped threads with the crossbeam calling convention: the spawn
-    //! closure receives the scope again so workers can spawn siblings.
-
-    /// A handle to a scope that can spawn borrowing threads.
-    pub struct Scope<'scope, 'env: 'scope> {
-        std: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    impl<'scope, 'env> Clone for Scope<'scope, 'env> {
-        fn clone(&self) -> Self {
-            *self
-        }
-    }
-
-    impl<'scope, 'env> Copy for Scope<'scope, 'env> {}
-
-    /// Join handle for a scoped thread.
-    pub struct ScopedJoinHandle<'scope, T>(std::thread::ScopedJoinHandle<'scope, T>);
-
-    impl<'scope, T> ScopedJoinHandle<'scope, T> {
-        /// Waits for the thread to finish, returning its result (or the
-        /// panic payload).
-        pub fn join(self) -> std::thread::Result<T> {
-            self.0.join()
-        }
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawns a thread inside the scope. The closure receives the
-        /// scope, matching crossbeam's `|_| ...` convention.
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let me = *self;
-            ScopedJoinHandle(self.std.spawn(move || f(&me)))
-        }
-    }
-
-    /// Runs `f` with a scope; every spawned thread is joined before this
-    /// returns. Always `Ok` — a panicking child propagates its panic when
-    /// joined (or at scope exit), exactly like `std::thread::scope`.
-    pub fn scope<'env, F, R>(f: F) -> std::thread::Result<R>
-    where
-        F: for<'scope> FnOnce(Scope<'scope, 'env>) -> R,
-    {
-        Ok(std::thread::scope(|s| f(Scope { std: s })))
-    }
-}
-
-pub mod deque {
-    //! Work-stealing deques with the crossbeam calling convention.
-    //!
-    //! [`Worker`] is the owning end: its thread pushes and pops locally.
-    //! [`Stealer`] handles (cloneable, `Send`) let other threads take work
-    //! from the opposite end. [`Steal`] mirrors crossbeam's three-way
-    //! result; the mutex-based implementation never actually yields
-    //! [`Steal::Retry`], but callers are written against the real
-    //! contract and must handle it.
-    //!
-    //! FIFO discipline (the only one this workspace uses): the owner pops
-    //! the front — the oldest of its own pushes — and thieves also steal
-    //! from the front. That keeps initially-seeded queues draining in
-    //! seed order whether the owner or a thief gets there first, which
-    //! the grid executor's determinism tests rely on for reproducible
-    //! *schedules* (results are order-independent by construction).
-
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Mutex};
-
-    /// Result of a steal attempt.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Steal<T> {
-        /// The queue was empty.
-        Empty,
-        /// One task was stolen.
-        Success(T),
-        /// The operation lost a race and should be retried.
-        Retry,
-    }
-
-    impl<T> Steal<T> {
-        /// Returns the stolen task, if any.
-        pub fn success(self) -> Option<T> {
-            match self {
-                Steal::Success(t) => Some(t),
-                _ => None,
-            }
-        }
-
-        /// Whether this is [`Steal::Empty`].
-        pub fn is_empty(&self) -> bool {
-            matches!(self, Steal::Empty)
-        }
-
-        /// Whether this is [`Steal::Retry`].
-        pub fn is_retry(&self) -> bool {
-            matches!(self, Steal::Retry)
-        }
-    }
-
-    /// The owning end of a work-stealing queue.
-    pub struct Worker<T> {
-        inner: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    /// A handle for stealing tasks from a [`Worker`]'s queue.
-    pub struct Stealer<T> {
-        inner: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    impl<T> Clone for Stealer<T> {
-        fn clone(&self) -> Self {
-            Stealer {
-                inner: Arc::clone(&self.inner),
-            }
-        }
-    }
-
-    impl<T> Worker<T> {
-        /// Creates a FIFO worker queue (owner pops oldest-first).
-        pub fn new_fifo() -> Self {
-            Worker {
-                inner: Arc::new(Mutex::new(VecDeque::new())),
-            }
-        }
-
-        /// Creates a stealer handle for this queue.
-        pub fn stealer(&self) -> Stealer<T> {
-            Stealer {
-                inner: Arc::clone(&self.inner),
-            }
-        }
-
-        /// Pushes a task onto the queue.
-        pub fn push(&self, task: T) {
-            self.inner.lock().expect("deque poisoned").push_back(task);
-        }
-
-        /// Pops the next task (FIFO: the oldest).
-        pub fn pop(&self) -> Option<T> {
-            self.inner.lock().expect("deque poisoned").pop_front()
-        }
-
-        /// Number of queued tasks (racy the instant it returns; use for
-        /// heuristics only).
-        pub fn len(&self) -> usize {
-            self.inner.lock().expect("deque poisoned").len()
-        }
-
-        /// Whether the queue is empty (racy; heuristics only).
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-
-    impl<T> Stealer<T> {
-        /// Steals one task from the queue's front.
-        pub fn steal(&self) -> Steal<T> {
-            match self.inner.lock().expect("deque poisoned").pop_front() {
-                Some(t) => Steal::Success(t),
-                None => Steal::Empty,
-            }
-        }
-
-        /// Steals up to half of the victim's tasks into `dest`, then pops
-        /// one of them for the caller. Two-phase: the victim's lock is
-        /// released before `dest`'s is taken, so concurrent A↔B steals
-        /// cannot deadlock.
-        pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-            let mut batch = {
-                let mut victim = self.inner.lock().expect("deque poisoned");
-                let n = victim.len();
-                if n == 0 {
-                    return Steal::Empty;
-                }
-                // Take ceil(n/2) from the front, preserving order.
-                let take = n.div_ceil(2);
-                victim.drain(..take).collect::<VecDeque<T>>()
-            };
-            let first = batch.pop_front();
-            if !batch.is_empty() {
-                let mut own = dest.inner.lock().expect("deque poisoned");
-                // Stolen work is older than anything the owner pushed
-                // since; front-load it so FIFO order is preserved.
-                for t in batch.into_iter().rev() {
-                    own.push_front(t);
-                }
-            }
-            match first {
-                Some(t) => Steal::Success(t),
-                None => Steal::Empty,
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    #[test]
-    fn scope_joins_all_and_borrows_stack_data() {
-        let counter = AtomicU64::new(0);
-        let counter = &counter;
-        let total = crate::thread::scope(|s| {
-            let handles: Vec<_> = (0..8u64)
-                .map(|i| {
-                    s.spawn(move |_| {
-                        counter.fetch_add(i, Ordering::Relaxed);
-                        i * 2
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum::<u64>()
-        })
-        .unwrap();
-        assert_eq!(total, 56);
-        assert_eq!(counter.load(Ordering::Relaxed), 28);
-    }
-
-    #[test]
-    fn nested_spawn_through_scope_argument() {
-        let n = crate::thread::scope(|s| {
-            s.spawn(|inner| inner.spawn(|_| 41).join().unwrap() + 1)
-                .join()
-                .unwrap()
-        })
-        .unwrap();
-        assert_eq!(n, 42);
-    }
-
-    mod deque {
-        use crate::deque::{Steal, Worker};
-
-        #[test]
-        fn fifo_owner_pops_oldest_first() {
-            let w = Worker::new_fifo();
-            for i in 0..5 {
-                w.push(i);
-            }
-            assert_eq!(w.len(), 5);
-            assert_eq!(w.pop(), Some(0));
-            assert_eq!(w.pop(), Some(1));
-        }
-
-        #[test]
-        fn steal_takes_from_the_front() {
-            let w = Worker::new_fifo();
-            let s = w.stealer();
-            w.push(1);
-            w.push(2);
-            assert_eq!(s.steal(), Steal::Success(1));
-            assert_eq!(w.pop(), Some(2));
-            assert_eq!(s.steal(), Steal::Empty);
-            assert_eq!(w.pop(), None);
-        }
-
-        #[test]
-        fn steal_batch_moves_half_and_pops_one() {
-            let victim = Worker::new_fifo();
-            let thief = Worker::new_fifo();
-            for i in 0..6 {
-                victim.push(i);
-            }
-            // 6 tasks: batch takes ceil(6/2)=3 (0,1,2); caller gets 0,
-            // thief's queue gets 1,2 in order.
-            assert_eq!(
-                victim.stealer().steal_batch_and_pop(&thief),
-                Steal::Success(0)
-            );
-            assert_eq!(victim.len(), 3);
-            assert_eq!(thief.pop(), Some(1));
-            assert_eq!(thief.pop(), Some(2));
-            assert_eq!(thief.pop(), None);
-            // Singleton victim: the one task goes to the caller, nothing
-            // lands in the thief's queue.
-            let one = Worker::new_fifo();
-            one.push(9);
-            assert_eq!(one.stealer().steal_batch_and_pop(&thief), Steal::Success(9));
-            assert!(thief.is_empty() && one.is_empty());
-            assert_eq!(one.stealer().steal_batch_and_pop(&thief), Steal::Empty);
-        }
-
-        #[test]
-        fn batch_steal_preserves_fifo_order_over_prior_contents() {
-            let victim = Worker::new_fifo();
-            let thief = Worker::new_fifo();
-            thief.push(100); // the thief's own, newer work
-            for i in 0..4 {
-                victim.push(i);
-            }
-            assert_eq!(
-                victim.stealer().steal_batch_and_pop(&thief),
-                Steal::Success(0)
-            );
-            // Stolen task 1 is older than 100, so it pops first.
-            assert_eq!(thief.pop(), Some(1));
-            assert_eq!(thief.pop(), Some(100));
-        }
-
-        #[test]
-        fn concurrent_steals_deliver_every_task_exactly_once() {
-            use std::sync::Mutex;
-            const N: u64 = 10_000;
-            let owner = Worker::new_fifo();
-            for i in 0..N {
-                owner.push(i);
-            }
-            let seen = Mutex::new(vec![0u8; N as usize]);
-            std::thread::scope(|s| {
-                for _ in 0..4 {
-                    let st = owner.stealer();
-                    let seen = &seen;
-                    s.spawn(move || {
-                        let local = Worker::new_fifo();
-                        loop {
-                            let task = local.pop().or_else(|| loop {
-                                match st.steal_batch_and_pop(&local) {
-                                    Steal::Success(t) => break Some(t),
-                                    Steal::Empty => break None,
-                                    Steal::Retry => continue,
-                                }
-                            });
-                            match task {
-                                Some(t) => seen.lock().unwrap()[t as usize] += 1,
-                                None => break,
-                            }
-                        }
-                    });
-                }
-            });
-            assert!(seen.lock().unwrap().iter().all(|&c| c == 1));
-        }
-    }
-}
+//! Empty offline stand-in for `crossbeam`.
+//!
+//! Nothing in the workspace uses this crate: the grid executor runs on
+//! `std::thread::scope` and one shared counter. `bench` and `themis`
+//! still declare it only because `benchmark/Cargo.lock`, the repo
+//! benchmark's own lock file, lists it as their dependency, and dropping
+//! the declarations would rewrite that file.

@@ -1,110 +1,6 @@
-//! Offline stand-in for `parking_lot`: `Mutex` / `RwLock` with the
-//! parking_lot calling convention (no poisoning, guards returned directly
-//! from `lock()` / `read()` / `write()`), implemented over [`std::sync`].
-//! A poisoned std lock is transparently recovered — parking_lot semantics
-//! are that a panicking holder simply releases the lock.
-
-use std::sync::{self, MutexGuard as StdMutexGuard};
-use std::sync::{RwLockReadGuard as StdReadGuard, RwLockWriteGuard as StdWriteGuard};
-
-/// Mutual exclusion lock without poisoning.
-#[derive(Debug, Default)]
-pub struct Mutex<T: ?Sized>(sync::Mutex<T>);
-
-/// RAII guard for [`Mutex`].
-pub type MutexGuard<'a, T> = StdMutexGuard<'a, T>;
-
-impl<T> Mutex<T> {
-    /// Creates a new mutex.
-    pub const fn new(value: T) -> Self {
-        Mutex(sync::Mutex::new(value))
-    }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0
-            .into_inner()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    /// Acquires the lock, blocking until available.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        self.0.lock().unwrap_or_else(sync::PoisonError::into_inner)
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0
-            .get_mut()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-}
-
-/// Reader-writer lock without poisoning.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
-
-/// Shared-read guard for [`RwLock`].
-pub type RwLockReadGuard<'a, T> = StdReadGuard<'a, T>;
-/// Exclusive-write guard for [`RwLock`].
-pub type RwLockWriteGuard<'a, T> = StdWriteGuard<'a, T>;
-
-impl<T> RwLock<T> {
-    /// Creates a new reader-writer lock.
-    pub const fn new(value: T) -> Self {
-        RwLock(sync::RwLock::new(value))
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0
-            .into_inner()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(sync::PoisonError::into_inner)
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(sync::PoisonError::into_inner)
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0
-            .get_mut()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::{Mutex, RwLock};
-
-    #[test]
-    fn mutex_roundtrip() {
-        let m = Mutex::new(1);
-        *m.lock() += 41;
-        assert_eq!(*m.lock(), 42);
-        assert_eq!(m.into_inner(), 42);
-    }
-
-    #[test]
-    fn rwlock_readers_and_writer() {
-        let l = RwLock::new(vec![1, 2]);
-        {
-            let a = l.read();
-            let b = l.read();
-            assert_eq!(a.len() + b.len(), 4);
-        }
-        l.write().push(3);
-        assert_eq!(l.into_inner(), vec![1, 2, 3]);
-    }
-}
+//! Empty offline stand-in for `parking_lot`.
+//!
+//! Nothing in the workspace uses this crate. `simdfs` and `bench` still
+//! declare it only because `benchmark/Cargo.lock`, the repo benchmark's
+//! own lock file, lists it as their dependency, and dropping the
+//! declarations would rewrite that file.

@@ -17,7 +17,7 @@
 //! * path-scoped pattern rules ([`rules`]) over the masked text, and
 //! * semantic rule packs ([`semantic`]) over a per-crate syntax model
 //!   ([`syntax`]: item parser, symbol tables, intra-crate call graph)
-//!   that prove the journal/tracker/crash-point/steal contracts hold.
+//!   that prove the journal/tracker/crash-point contracts hold.
 //!
 //! Violations can be suppressed inline with
 //! `// detlint:allow(<rule>): <reason>` (the reason is mandatory) or for a

@@ -259,7 +259,6 @@ mod tests {
         assert!(known_rule("journal-coverage"));
         assert!(known_rule("tracker-completeness"));
         assert!(known_rule("crash-decomposition"));
-        assert!(known_rule("steal-protocol"));
         assert!(!known_rule(PRAGMA_RULE));
         assert!(!known_rule(UNUSED_PRAGMA_RULE));
         assert!(!known_rule("no-such-rule"));

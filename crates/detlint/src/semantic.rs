@@ -22,11 +22,6 @@
 //!   points (reach `crash_point` on the call graph) or carry a reasoned
 //!   pragma stating the atomic-window assumption (ROADMAP item 7 tracks
 //!   the create/delete/heal remainder).
-//! * **steal-protocol** — the grid's work-stealing discipline: no
-//!   single-task `steal()` (half-batch steals keep schedules
-//!   reproducible), every `steal_batch_and_pop` caller handles
-//!   `Steal::Retry`, and no two deque lock guards overlap (the two-phase
-//!   rule that makes concurrent A↔B steals deadlock-free).
 //!
 //! Every pack reports through the same diagnostics/pragma/JSON machinery
 //! as the lexical rules; `detlint:allow(<pack>)` with a mandatory reason
@@ -76,12 +71,6 @@ pub const SEM_RULES: &[SemRule] = &[
         summary: "multi-mutation DfsSim fns crossing an RPC/clock boundary must \
                   register crash-point micro-steps or document the atomic window",
     },
-    SemRule {
-        id: "steal-protocol",
-        severity: Severity::Deny,
-        summary: "grid stealing must batch (no single steal), handle Steal::Retry, \
-                  and never hold two deque locks at once",
-    },
 ];
 
 /// Looks up a semantic pack by id.
@@ -98,7 +87,6 @@ pub fn run_packs(cm: &CrateModel, out: &mut Vec<SemFinding>) {
     journal_coverage(cm, &mut found);
     tracker_completeness(cm, &mut found);
     crash_decomposition(cm, &mut found);
-    steal_protocol(cm, &mut found);
     found.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
     });
@@ -417,108 +405,6 @@ fn crash_decomposition(cm: &CrateModel, out: &mut Vec<SemFinding>) {
     }
 }
 
-/// Files under the steal-protocol contract: the grid executor and the
-/// deque shim whose two-phase discipline it relies on.
-fn in_steal_scope(path: &str) -> bool {
-    path.starts_with("crates/bench/") || path.starts_with("crates/compat/crossbeam/")
-}
-
-fn steal_protocol(cm: &CrateModel, out: &mut Vec<SemFinding>) {
-    for fm in &cm.files {
-        if !in_steal_scope(&fm.path) {
-            continue;
-        }
-        let in_shim = fm.path.starts_with("crates/compat/crossbeam/");
-        for f in &fm.fns {
-            let Some((open, close)) = f.body else {
-                continue;
-            };
-            let facts = BodyFacts::extract(fm, open, close);
-            // (a) Single-task steal outside the shim that defines it:
-            // thieves must take half a deque so the FIFO schedule stays
-            // reproducible and A↔B thief pairs cannot ping-pong.
-            if !in_shim {
-                for c in facts
-                    .calls
-                    .iter()
-                    .filter(|c| c.segs.len() > 1 && c.segs.last().is_some_and(|s| s == "steal"))
-                {
-                    out.push(SemFinding {
-                        rule: "steal-protocol",
-                        severity: Severity::Deny,
-                        file: fm.path.clone(),
-                        line: c.line as usize,
-                        message: format!(
-                            "`{}` performs a single-task steal(): use \
-                             steal_batch_and_pop so thieves take half the victim's \
-                             deque (reproducible FIFO schedules, no ping-pong)",
-                            f.name
-                        ),
-                    });
-                }
-            }
-            // (b) A steal_batch_and_pop caller that never mentions
-            // Steal::Retry silently drops the lost-race arm; against the
-            // real crossbeam that loses tasks. Production call sites
-            // only: tests pin exact single-threaded shim results, where
-            // Retry cannot occur.
-            let steals: Vec<&Chain> = if f.in_test {
-                Vec::new()
-            } else {
-                facts
-                    .calls
-                    .iter()
-                    .filter(|c| {
-                        c.segs.len() > 1
-                            && c.segs.last().is_some_and(|s| s == "steal_batch_and_pop")
-                    })
-                    .collect()
-            };
-            if !steals.is_empty() && !facts.idents.contains("Retry") {
-                out.push(SemFinding {
-                    rule: "steal-protocol",
-                    severity: Severity::Deny,
-                    file: fm.path.clone(),
-                    line: steals[0].line as usize,
-                    message: format!(
-                        "`{}` calls steal_batch_and_pop but never handles \
-                         Steal::Retry: a lost race must be retried, not treated as \
-                         empty (the mutex shim never yields Retry; the real \
-                         crossbeam deque does)",
-                        f.name
-                    ),
-                });
-            }
-            // (c) Two overlapping lock guards: the two-phase discipline
-            // requires releasing the victim's deque lock before taking
-            // the destination's.
-            for pair in facts.locks.windows(2) {
-                let (a, b) = (&pair[0], &pair[1]);
-                if b.tok < a.scope_end {
-                    let dropped = fm.toks[a.tok..b.tok].iter().any(|t| t.is("drop"));
-                    if !dropped {
-                        out.push(SemFinding {
-                            rule: "steal-protocol",
-                            severity: Severity::Deny,
-                            file: fm.path.clone(),
-                            line: b.line as usize,
-                            message: format!(
-                                "`{}` takes a second deque lock while the guard from \
-                                 line {} is still live: two-phase stealing requires \
-                                 releasing the victim's lock before locking the \
-                                 destination (concurrent A\u{2194}B steals deadlock \
-                                 otherwise)",
-                                f.name, a.line
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    let _ = cm;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -633,17 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn steal_protocol_exempts_unit_tests_from_the_retry_discipline() {
-        let out = findings(&[(
-            "crates/compat/crossbeam/src/lib.rs",
-            "#[cfg(test)] mod tests { #[test] fn pins_shim_semantics() {\n\
-                assert_eq!(v.stealer().steal_batch_and_pop(&q), Steal::Success(0));\n\
-             } }",
-        )]);
-        assert!(out.iter().all(|f| f.rule != "steal-protocol"), "{out:?}");
-    }
-
-    #[test]
     fn tracker_completeness_requires_a_hook_on_the_call_graph() {
         let src_bad = "impl Cluster {\n\
             fn strip(&mut self) { let v = self.volume_mut(x); v.used = 0; }\n\
@@ -714,45 +589,5 @@ mod tests {
             single.iter().all(|f| f.rule != "crash-decomposition"),
             "{single:?}"
         );
-    }
-
-    #[test]
-    fn steal_protocol_flags_all_three_disciplines() {
-        let out = findings(&[(
-            "crates/bench/src/grid.rs",
-            "fn lone(v: &Stealer<T>) { let t = v.steal(); }\n\
-             fn noretry(v: &Stealer<T>, q: &Worker<T>) {\n\
-                match v.steal_batch_and_pop(q) { Steal::Success(t) => t, Steal::Empty => r }\n\
-             }\n\
-             fn nested(a: &M, b: &M) {\n\
-                let g1 = a.lock().unwrap();\n\
-                let g2 = b.lock().unwrap();\n\
-             }",
-        )]);
-        let rules: Vec<&str> = out.iter().map(|f| f.rule).collect();
-        assert_eq!(
-            rules.iter().filter(|r| **r == "steal-protocol").count(),
-            3,
-            "{out:?}"
-        );
-        assert!(out.iter().any(|f| f.message.contains("single-task")));
-        assert!(out.iter().any(|f| f.message.contains("Steal::Retry")));
-        assert!(out.iter().any(|f| f.message.contains("second deque lock")));
-    }
-
-    #[test]
-    fn steal_protocol_accepts_the_two_phase_shape() {
-        let out = findings(&[(
-            "crates/compat/crossbeam/src/lib.rs",
-            "impl Stealer { fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {\n\
-                let mut batch = {\n\
-                    let mut victim = self.inner.lock().expect(\"p\");\n\
-                    victim.drain(..take).collect::<VecDeque<T>>()\n\
-                };\n\
-                let mut own = dest.inner.lock().expect(\"p\");\n\
-                Steal::Retry\n\
-             } }",
-        )]);
-        assert!(out.iter().all(|f| f.rule != "steal-protocol"), "{out:?}");
     }
 }

@@ -11,13 +11,12 @@
 //!
 //! It is deliberately *not* a Rust parser: expressions are never built
 //! into trees. Function bodies stay flat token slices, and the analysis
-//! helpers ([`BodyFacts`]) extract the three shapes the rule packs
-//! consume — call sites with receiver chains, field-write chains (walking
-//! assignment targets backwards through `.field`, `[index]` and
-//! `.method()` links), and lock-guard bindings with their enclosing-block
-//! extent. Anything the flat model cannot see (writes through a binding
-//! of a `&mut` projection, macro-generated code) is documented as out of
-//! scope; the runtime auditor remains the backstop for those.
+//! helpers ([`BodyFacts`]) extract the two shapes the rule packs
+//! consume — call sites with receiver chains, and field-write chains
+//! (walking assignment targets backwards through `.field`, `[index]` and
+//! `.method()` links). Anything the flat model cannot see (writes through
+//! a binding of a `&mut` projection, macro-generated code) is documented
+//! as out of scope; the runtime auditor remains the backstop for those.
 
 use std::collections::BTreeSet;
 
@@ -271,17 +270,6 @@ impl Chain {
     }
 }
 
-/// A `let`-bound lock guard and the block scope it lives to the end of.
-#[derive(Debug, Clone)]
-pub struct LockBind {
-    /// Token index of the `lock` identifier.
-    pub tok: usize,
-    /// Token index of the `}` closing the guard's enclosing block (body
-    /// close for top-level statements).
-    pub scope_end: usize,
-    pub line: u32,
-}
-
 /// Container/entry methods treated as mutable access when they terminate
 /// a chain (writes *through* them are invisible to the flat model, so the
 /// access itself is the auditable event).
@@ -322,10 +310,6 @@ pub struct BodyFacts {
     /// Field-write chains (`=` and compound assignments) plus chains
     /// ending in a mutating container method.
     pub chains: Vec<Chain>,
-    /// `let`-bound `.lock()` guards with their live scope.
-    pub locks: Vec<LockBind>,
-    /// Every identifier in the body (cheap membership probes).
-    pub idents: BTreeSet<String>,
 }
 
 impl BodyFacts {
@@ -338,7 +322,6 @@ impl BodyFacts {
         while i < close {
             let t = &toks[i];
             if t.kind == TokKind::Ident {
-                facts.idents.insert(t.text.clone());
                 // Call site: ident directly followed by `(` (methods are
                 // distinguished by a preceding `.`).
                 if toks
@@ -348,9 +331,6 @@ impl BodyFacts {
                 {
                     let mut segs = walk_chain_back(toks, file, i.saturating_sub(1), open);
                     segs.push(t.text.clone());
-                    if t.text == "lock" {
-                        facts.locks.extend(lock_binding(file, i, open, close));
-                    }
                     if MUT_METHODS.contains(&t.text.as_str()) && segs.len() > 1 {
                         facts.chains.push(Chain {
                             segs: segs.clone(),
@@ -492,66 +472,6 @@ fn walk_chain_back(toks: &[Tok], file: &FileModel, mut from: usize, floor: usize
     }
     rev.reverse();
     rev
-}
-
-/// If the `lock` call at token `i` sits in a `let` statement, returns a
-/// [`LockBind`] whose scope runs to the end of the *statement's*
-/// enclosing block; transient guards (no `let`, dropped at the `;`) and
-/// locks buried in a nested block of the statement (their guard dies
-/// when that block ends) return nothing.
-fn lock_binding(file: &FileModel, i: usize, open: usize, close: usize) -> Option<LockBind> {
-    let toks = &file.toks;
-    // Find the innermost enclosing brace block within the body.
-    let mut block_open = open;
-    let mut j = i;
-    let mut depth = 0i32;
-    while j > open {
-        j -= 1;
-        match toks[j].kind {
-            TokKind::Close => depth += 1,
-            TokKind::Open => {
-                if depth == 0 {
-                    if toks[j].is("{") {
-                        block_open = j;
-                        break;
-                    }
-                    // Inside parens/brackets: hop out and keep looking.
-                } else {
-                    depth -= 1;
-                }
-                if depth < 0 {
-                    depth = 0;
-                }
-            }
-            _ => {}
-        }
-    }
-    let block_close = if block_open == open {
-        close
-    } else {
-        file.match_idx[block_open]
-    };
-    // Statement start: token after the previous `;` (or the block open)
-    // at this block's level.
-    let mut start = block_open + 1;
-    let mut k = block_open + 1;
-    while k < i {
-        match toks[k].kind {
-            TokKind::Open => k = file.match_idx[k].max(k), // skip nested
-            TokKind::Punct if toks[k].is(";") => start = k + 1,
-            _ => {}
-        }
-        k += 1;
-    }
-    if toks.get(start).is_some_and(|t| t.is("let")) {
-        Some(LockBind {
-            tok: i,
-            scope_end: block_close,
-            line: toks[i].line,
-        })
-    } else {
-        None
-    }
 }
 
 /// Parses one masked file into a [`FileModel`].
@@ -920,23 +840,6 @@ mod tests {
             .chains
             .iter()
             .any(|ch| ch.segs.last().is_some_and(|s| s == "x")));
-    }
-
-    #[test]
-    fn lock_bindings_scope_to_their_block() {
-        let m = model(
-            "fn f(&self) {\n\
-                let batch = {\n    let victim = self.inner.lock().unwrap();\n    take(victim)\n};\n\
-                let own = dest.inner.lock().unwrap();\n\
-                other.inner.lock().unwrap().push(1);\n\
-             }",
-        );
-        let (o, c) = m.fns[0].body.unwrap();
-        let facts = BodyFacts::extract(&m, o, c);
-        // Two let-bound guards; the transient third is not a binding.
-        assert_eq!(facts.locks.len(), 2);
-        // The inner guard's scope closes before the second binding.
-        assert!(facts.locks[0].scope_end < facts.locks[1].tok);
     }
 
     #[test]

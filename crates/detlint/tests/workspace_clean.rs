@@ -156,13 +156,6 @@ fn fixture_tree_with_one_seeded_violation_per_semantic_pack_fails() {
                      }\n\
                  }\n",
             ),
-            // steal-protocol: a single-task steal outside the shim.
-            (
-                "crates/bench/src/grid.rs",
-                "fn lone(v: &Stealer<u32>) {\n\
-                     let _t = v.steal();\n\
-                 }\n",
-            ),
             // A pragma-documented breach must be suppressed (and counted),
             // proving the escape hatch works for semantic packs too.
             (
@@ -182,7 +175,6 @@ fn fixture_tree_with_one_seeded_violation_per_semantic_pack_fails() {
         .map(|v| (v.rule.as_str(), v.file.as_str()))
         .collect();
     let expected = [
-        ("steal-protocol", "crates/bench/src/grid.rs"),
         ("tracker-completeness", "crates/simdfs/src/cluster.rs"),
         ("journal-coverage", "crates/simdfs/src/poke.rs"),
         ("crash-decomposition", "crates/simdfs/src/sim.rs"),

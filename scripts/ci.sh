@@ -2,10 +2,8 @@
 # CI gate: formatting, lints, the full test suite, and a bench smoke run
 # that exercises the grid executor and dumps the perf JSON artifact.
 #
-# Usage: scripts/ci.sh [--no-bench|--bench-scaling]
+# Usage: scripts/ci.sh [--no-bench]
 #   --no-bench        skip the bench smoke step (fast pre-push check)
-#   --bench-scaling   also run the heavy-cell worker-scaling bench and
-#                     gate results/BENCH_4.json (slow; multi-core boxes)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -110,8 +108,8 @@ if [[ "${1:-}" != "--no-bench" ]]; then
 
     # Scaling artifact: per-op variance-sampling cost from 10 to 10k
     # storage nodes, heavy-traffic campaigns at scale with the mean-field
-    # cross-check, the same-seed 10k-node determinism check, and worker
-    # scaling over large-topology cells, into results/BENCH_3.json.
+    # cross-check, and the same-seed 10k-node determinism check, into
+    # results/BENCH_3.json.
     run cargo run --release --offline -p bench --bin repro -- scale
     test -s results/BENCH_3.json
     check_schema results/BENCH_3.json 3
@@ -169,50 +167,6 @@ if [[ "${1:-}" != "--no-bench" ]]; then
     grep -q '^  "baseline_misses_at_least_one": true' results/BENCH_5.json \
         || { echo "==> random baseline found every class; bounded exploration shows no advantage"; exit 1; }
     echo "==> crash exploration gate OK"
-fi
-
-if [[ "${1:-}" == "--bench-scaling" ]]; then
-    # Worker-scaling artifact: the heavy-cell grid through the
-    # work-stealing executor at 1/2/4/8 workers with per-worker
-    # {cells_run, cells_stolen, busy_ns} counters, the reuse redeploy
-    # count, and fresh-deploy identity at every worker count, into
-    # results/BENCH_4.json.
-    run cargo run --release --offline -p bench --bin repro -- scaling
-    test -s results/BENCH_4.json
-    check_schema results/BENCH_4.json 4
-    echo "==> results/BENCH_4.json:"
-    cat results/BENCH_4.json
-
-    # Determinism is non-negotiable at any core count: every parallel
-    # run's cells must be byte-identical to the serial fresh-deploy
-    # reference, even when the speedup gate itself is skipped.
-    grep -q '"identical_to_serial": true' results/BENCH_4.json \
-        || { echo "==> parallel grid diverged from the serial reference"; exit 1; }
-
-    # Speedup gate: every measured worker count w with 1 < w <= the
-    # host's available parallelism must hit >= 0.7x-per-worker speedup
-    # (>= 1.4x @ 2 workers, >= 2.8x @ 4). The bench computes the verdict
-    # itself; single-core hosts record the gate as skipped instead. Skip
-    # and pass stay distinguishable: a skip must carry its reason in the
-    # artifact AND be consistent with the host topology the artifact
-    # itself recorded — a degraded multi-core run cannot masquerade as a
-    # single-core skip.
-    if grep -q '"skipped": "single-core"' results/BENCH_4.json; then
-        ap=$(grep -o '"available_parallelism": *[0-9]*' results/BENCH_4.json \
-            | head -n1 | grep -o '[0-9]*$')
-        if [[ "${ap:-1}" -gt 1 ]]; then
-            echo "==> INCONSISTENT SKIP: gate claims a single-core skip but the artifact records available_parallelism=$ap"
-            exit 1
-        fi
-        echo "==> scaling gate SKIPPED (not passed): single-core host, reason recorded in BENCH_4.json"
-    elif grep -q '"passed": true' results/BENCH_4.json \
-        && grep -q '"skipped": null' results/BENCH_4.json; then
-        echo "==> scaling gate OK: >= 0.7x-per-worker speedup"
-    else
-        echo "==> SCALING REGRESSION:"
-        grep -o '"why": "[^"]*"' results/BENCH_4.json || true
-        exit 1
-    fi
 fi
 
 echo "CI OK"
