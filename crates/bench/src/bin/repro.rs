@@ -16,9 +16,9 @@
 //! every flavor and writes `results/BENCH_5.json`.
 //!
 //! `--workers N` pins the grid executor's worker count for every matrix
-//! run whose spec does not set one explicitly (0 restores the default of
-//! one worker per core), so scaling behavior is reproducible from the CLI
-//! without editing code.
+//! run whose spec does not set one explicitly and for `crash` (0 restores
+//! the default of one worker per core), so scaling behavior is
+//! reproducible from the CLI without editing code.
 
 use bench::tables;
 use std::fs;
@@ -109,14 +109,11 @@ fn main() -> ExitCode {
     }
     // Crash is opt-in: bounded crash-point exploration of the migration
     // pipeline — one campaign per flavor (bounded arm plus the
-    // equal-budget random-time baseline) through the grid executor, with
-    // a from-scratch byte-identity check. Writes
-    // `results/BENCH_5.json`.
+    // equal-budget random-time baseline) through the grid executor on
+    // at most one worker per flavor, with a from-scratch byte-identity
+    // check. Writes `results/BENCH_5.json`.
     if args.iter().any(|a| a == "crash") {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(4);
+        let workers = bench::grid::resolve_workers(0, simdfs::Flavor::all().len());
         let bench5 =
             bench::crashbench::measure_crashbench(&themis::CrashExplorerConfig::default(), workers);
         write("BENCH_5.json", &bench::crashbench::bench5_json(&bench5));
@@ -126,9 +123,6 @@ fn main() -> ExitCode {
     // cross-check, and a same-seed determinism check at 10k nodes.
     // Writes `results/BENCH_3.json`.
     if args.iter().any(|a| a == "scale") {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         let variance = bench::scale::measure_variance_scaling(&[10, 100, 1_000, 10_000]);
         let mut campaigns = vec![
             bench::scale::run_heavy_campaign(simdfs::Flavor::Hdfs, 1_000, 0xbe, 12),
@@ -141,7 +135,7 @@ fn main() -> ExitCode {
         campaigns.push(det.campaign.clone());
         write(
             "BENCH_3.json",
-            &bench::scale::bench3_json(cores, &variance, &campaigns, &det),
+            &bench::scale::bench3_json(&variance, &campaigns, &det),
         );
     }
     ExitCode::SUCCESS

@@ -29,6 +29,8 @@ pub struct CrashBench {
     pub cells: Vec<FlavorCrash>,
     /// Host CPU topology at measurement time.
     pub host: HostTopology,
+    /// Grid workers each pass ran on.
+    pub workers: usize,
     /// Wall seconds for the first (timed) pass.
     pub wall_s: f64,
     /// Whether a second from-scratch pass produced a byte-identical
@@ -116,6 +118,7 @@ pub fn measure_crashbench(cfg: &CrashExplorerConfig, workers: usize) -> CrashBen
     CrashBench {
         cells,
         host: HostTopology::detect(),
+        workers,
         wall_s,
         identical,
     }
@@ -193,8 +196,9 @@ pub fn canonical_json(cells: &[FlavorCrash]) -> String {
 pub fn bench5_json(bench: &CrashBench) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"themis-bench-v5\",\n");
-    out.push_str("  \"schema_version\": 5,\n");
+    out.push_str("  \"schema_version\": 6,\n");
     out.push_str(&format!("  \"host\": {},\n", bench.host.to_json()));
+    out.push_str(&format!("  \"workers\": {},\n", bench.workers));
     out.push_str(&format!("  \"wall_s\": {},\n", json_f64(bench.wall_s)));
     out.push_str(&format!("  \"forks\": {},\n", bench.total_forks()));
     let fps = if bench.wall_s > 0.0 {
@@ -271,7 +275,8 @@ mod tests {
         assert!(b.total_forks() > 0);
         let j = bench5_json(&b);
         assert!(j.contains("\"schema\": \"themis-bench-v5\""));
-        assert!(j.contains("\"schema_version\": 5"));
+        assert!(j.contains("\"schema_version\": 6"));
+        assert!(j.contains("\"workers\": 2,"));
         assert!(j.contains("\"identical\": true"));
         assert!(j.contains("\"GlusterFS\": {"));
         assert!(j.contains("\"crash_points\": "));

@@ -106,28 +106,37 @@ impl GridSpec {
     }
 
     fn resolved_workers(&self) -> usize {
-        let w = if self.workers == 0 {
-            match DEFAULT_WORKERS.load(Ordering::Relaxed) {
-                0 => std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-                n => n,
-            }
-        } else {
-            self.workers
-        };
-        w.clamp(1, self.cells().max(1))
+        resolve_workers(self.workers, self.cells())
     }
 }
 
-/// Process-wide override applied when a spec leaves `workers` at 0 (its
-/// "one per core" default). 0 means no override. Set from the `repro`
-/// CLI's `--workers N` flag so scaling runs are reproducible without
-/// editing code.
+/// Worker count for `tasks` parallel tasks when the caller asked for
+/// `requested` (0 = the default): the request, else the override set by
+/// [`set_default_workers`], else one per available core — at least 1 and
+/// at most `tasks`.
+pub fn resolve_workers(requested: usize, tasks: usize) -> usize {
+    let default = DEFAULT_WORKERS.load(Ordering::Relaxed);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    pick_workers(requested, default, cores, tasks)
+}
+
+/// [`resolve_workers`] with the override and the core count passed in.
+fn pick_workers(requested: usize, default: usize, cores: usize, tasks: usize) -> usize {
+    let w = [requested, default, cores]
+        .into_iter()
+        .find(|&n| n > 0)
+        .unwrap_or(1);
+    w.clamp(1, tasks.max(1))
+}
+
+/// Process-wide override applied when a caller leaves the worker count
+/// at 0 (its "one per core" default). 0 means no override. Set from the
+/// `repro` CLI's `--workers N` flag so scaling runs are reproducible
+/// without editing code.
 static DEFAULT_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
-/// Overrides the default worker count for every subsequent grid run whose
-/// spec does not set one explicitly. Pass 0 to restore one-per-core.
+/// Overrides the default worker count for every subsequent grid run that
+/// does not set one explicitly. Pass 0 to restore one-per-core.
 pub fn set_default_workers(n: usize) {
     DEFAULT_WORKERS.store(n, Ordering::Relaxed);
 }
@@ -472,6 +481,17 @@ mod tests {
         let spec = tiny_spec(64);
         let out = run_grid(&spec);
         assert_eq!(out.worker_stats.len(), 4);
+        // Resolution order, independent of the host's core count: an
+        // explicit request wins, capped at the task count.
+        assert_eq!(pick_workers(3, 1, 8, 4), 3);
+        assert_eq!(pick_workers(9, 1, 8, 4), 4);
+        // `--workers 1` pins one worker on a many-core host.
+        assert_eq!(pick_workers(0, 1, 8, 4), 1);
+        // No override: one per core, capped at the tasks.
+        assert_eq!(pick_workers(0, 0, 2, 4), 2);
+        assert_eq!(pick_workers(0, 0, 16, 4), 4);
+        // Degenerate inputs still yield one worker.
+        assert_eq!(pick_workers(0, 0, 0, 0), 1);
     }
 
     #[test]

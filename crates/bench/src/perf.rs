@@ -261,7 +261,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn campaign_perf_variants_agree_and_cached_is_not_slower() {
+    fn measure_campaign_counts_iterations_ops_and_wall_time() {
         let p = measure_campaign(Flavor::GlusterFs, 1, 0xbe, 1);
         assert!(p.iterations > 0 && p.ops_sent > 0);
         assert!(p.wall_s > 0.0);

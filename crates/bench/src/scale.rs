@@ -356,18 +356,16 @@ pub fn check_campaign_determinism(
 
 /// Renders the scaling artifact (`BENCH_3.json`).
 pub fn bench3_json(
-    cores: usize,
     variance: &VarianceScaling,
     campaigns: &[HeavyCampaign],
     determinism: &DeterminismCheck,
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"themis-bench-v3\",\n");
-    out.push_str("  \"schema_version\": 3,\n");
-    let topo = crate::perf::HostTopology::detect();
+    out.push_str("  \"schema_version\": 4,\n");
     out.push_str(&format!(
-        "  \"host\": {{\"cores\": {cores}, \"available_parallelism\": {}, \"logical_cores\": {}}},\n",
-        topo.available_parallelism, topo.logical_cores
+        "  \"host\": {},\n",
+        crate::perf::HostTopology::detect().to_json()
     ));
     out.push_str(&format!(
         "  \"variance_probe_cost_ratio\": {},\n",
@@ -522,9 +520,10 @@ mod tests {
             campaign: c.clone(),
             identical: true,
         };
-        let j = bench3_json(4, &v, std::slice::from_ref(&c), &d);
+        let j = bench3_json(&v, std::slice::from_ref(&c), &d);
         assert!(j.contains("\"schema\": \"themis-bench-v3\""));
-        assert!(j.contains("\"schema_version\": 3"));
+        assert!(j.contains("\"schema_version\": 4"));
+        assert!(j.contains("\"host\": {\"available_parallelism\": "));
         assert!(j.contains("\"variance_probe_cost_ratio\""));
         assert!(j.contains("\"mean_field_ok\": true"));
         assert!(j.contains("\\\"quoted\\\""));

@@ -1,4 +1,4 @@
-//! Arena-indexed SoA tables for the cluster's node and volume state.
+//! Arena-indexed tables for the cluster's node and volume state.
 //!
 //! Node and volume ids are dense `u32`s handed out by monotonic counters
 //! and never reused, so the raw id doubles as a slot index: [`NodeArena`]
@@ -6,18 +6,7 @@
 //! `NodeId.0` and [`VolumeDirectory`] keeps the volume→node map in a
 //! `Vec<NodeId>` indexed by `VolumeId.0`. Lookups that used to pay a
 //! BTreeMap descent become one bounds-checked index, and full-fleet scans
-//! (placement views, totals, variance maintenance) walk contiguous
-//! memory.
-//!
-//! [`NodeArena`] additionally maintains parallel *hot columns*
-//! ([`NodeHot`]: online flag, volume count, used, capacity) — the fields
-//! scoring and variance maintenance actually read — split off from the
-//! cold per-node metadata (volume lists, load counters, join times).
-//! `total_used`-style aggregates and `node_fill` walk the hot column
-//! without touching the node structs at all. The single write path is
-//! [`NodeArena::sync_hot`], called by every cluster mutation that can
-//! change a node's fill or eligibility; [`crate::Cluster::audit`]
-//! recomputes the columns from the node structs and fails on drift.
+//! (placement views, totals, variance maintenance) walk one vector.
 //!
 //! Iteration order over either table is ascending id order — exactly the
 //! order the former `BTreeMap`s produced — so every determinism contract
@@ -34,54 +23,22 @@
 //! sees identical semantics.
 
 use crate::node::StorageNode;
-use crate::types::{Bytes, NodeId, VolumeId};
+use crate::types::{NodeId, VolumeId};
 
 /// Sentinel owner meaning "no such volume". Node ids are allocated by an
 /// incrementing counter starting at 0, so `u32::MAX` is unreachable.
 const NO_OWNER: NodeId = NodeId(u32::MAX);
 
-/// The hot per-node columns read by placement scoring, totals, and
-/// variance maintenance. One row per arena slot, kept in sync with the
-/// cold node struct by [`NodeArena::sync_hot`]. Empty slots hold the
-/// default row (`online: false`), so online-filtered scans skip them for
-/// free.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeHot {
-    /// Whether the node is online (false for empty slots).
-    pub online: bool,
-    /// Number of attached volumes (0 for diskless nodes and empty slots).
-    pub volumes: u32,
-    /// Bytes stored across all volumes.
-    pub used: Bytes,
-    /// Total capacity across all volumes.
-    pub capacity: Bytes,
-}
-
-impl NodeHot {
-    /// The hot row a node struct should currently map to (the auditor
-    /// recomputes rows through this and fails on drift).
-    pub fn of(node: &StorageNode) -> NodeHot {
-        NodeHot {
-            online: node.online,
-            volumes: node.volumes.len() as u32,
-            used: node.used(),
-            capacity: node.capacity(),
-        }
-    }
-}
-
-/// Dense storage-node table indexed by raw node id, with SoA hot columns.
+/// Dense storage-node table indexed by raw node id.
 ///
 /// The API mirrors the `BTreeMap<NodeId, StorageNode>` it replaced
 /// (`get`/`get_mut`/`insert`/`remove`/`values`/`keys`/iteration in id
 /// order), so call sites read unchanged.
 #[derive(Debug, Clone, Default)]
 pub struct NodeArena {
-    /// Cold node state, one slot per allocated id (`None` = not a storage
+    /// Node state, one slot per allocated id (`None` = not a storage
     /// node: removed, or an id belonging to the management table).
     slots: Vec<Option<StorageNode>>,
-    /// Parallel hot columns (same indexing as `slots`).
-    hot: Vec<NodeHot>,
     /// Number of occupied slots.
     live: usize,
 }
@@ -102,9 +59,7 @@ impl NodeArena {
         self.slots.get(id.0 as usize).and_then(|s| s.as_ref())
     }
 
-    /// Mutable access to a node. Callers that change fill or eligibility
-    /// must follow up with [`NodeArena::sync_hot`] (the cluster's
-    /// `refresh_node_stats` does both).
+    /// Mutable access to a node.
     pub fn get_mut(&mut self, id: &NodeId) -> Option<&mut StorageNode> {
         self.slots.get_mut(id.0 as usize).and_then(|s| s.as_mut())
     }
@@ -119,9 +74,7 @@ impl NodeArena {
         let idx = id.0 as usize;
         if idx >= self.slots.len() {
             self.slots.resize_with(idx + 1, || None);
-            self.hot.resize(idx + 1, NodeHot::default());
         }
-        self.hot[idx] = NodeHot::of(&node);
         let old = self.slots[idx].replace(node);
         if old.is_none() {
             self.live += 1;
@@ -134,40 +87,8 @@ impl NodeArena {
         let old = self.slots.get_mut(id.0 as usize).and_then(|s| s.take());
         if old.is_some() {
             self.live -= 1;
-            self.hot[id.0 as usize] = NodeHot::default();
         }
         old
-    }
-
-    /// Recomputes the hot row for `id` from its node struct. The single
-    /// write path for the hot columns; a no-op for absent ids.
-    pub fn sync_hot(&mut self, id: NodeId) {
-        let idx = id.0 as usize;
-        if let Some(Some(node)) = self.slots.get(idx) {
-            self.hot[idx] = NodeHot::of(node);
-        }
-    }
-
-    /// The hot columns, indexed like the arena. Empty slots hold the
-    /// default (offline) row.
-    pub fn hot_rows(&self) -> &[NodeHot] {
-        &self.hot
-    }
-
-    /// Write access to the hot columns, for tests that corrupt them.
-    #[cfg(test)]
-    pub(crate) fn hot_rows_mut(&mut self) -> &mut [NodeHot] {
-        &mut self.hot
-    }
-
-    /// `(id, hot row)` for every storage node, in id order.
-    pub fn hot_iter(&self) -> impl Iterator<Item = (NodeId, &NodeHot)> + '_ {
-        self.slots
-            .iter()
-            .zip(self.hot.iter())
-            .enumerate()
-            .filter(|(_, (slot, _))| slot.is_some())
-            .map(|(i, (_, hot))| (NodeId(i as u32), hot))
     }
 
     /// Nodes in id order.
@@ -175,8 +96,7 @@ impl NodeArena {
         self.slots.iter().filter_map(|s| s.as_ref())
     }
 
-    /// Mutable nodes in id order. Fill/eligibility mutations must be
-    /// followed by [`NodeArena::sync_hot`].
+    /// Mutable nodes in id order.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut StorageNode> + '_ {
         self.slots.iter_mut().filter_map(|s| s.as_mut())
     }
@@ -294,7 +214,7 @@ mod tests {
     use super::*;
     use crate::metrics::NodeLoadAccount;
     use crate::node::Volume;
-    use crate::types::SimTime;
+    use crate::types::{Bytes, SimTime};
 
     fn node(id: u32, online: bool, vols: &[(u32, Bytes, Bytes)]) -> StorageNode {
         StorageNode {
@@ -343,30 +263,8 @@ mod tests {
         assert!(a.remove(&NodeId(0)).is_some());
         assert!(a.remove(&NodeId(0)).is_none(), "double remove is a no-op");
         assert_eq!(a.len(), 1);
-        assert_eq!(a.hot_rows()[0], NodeHot::default());
         let ids: Vec<u32> = a.keys().map(|n| n.0).collect();
         assert_eq!(ids, vec![1]);
-    }
-
-    #[test]
-    fn hot_rows_track_sync() {
-        let mut a = NodeArena::default();
-        a.insert(NodeId(2), node(2, true, &[(0, 100, 10), (1, 50, 5)]));
-        assert_eq!(
-            a.hot_rows()[2],
-            NodeHot {
-                online: true,
-                volumes: 2,
-                used: 15,
-                capacity: 150
-            }
-        );
-        a.get_mut(&NodeId(2)).unwrap().volumes[0].used = 40;
-        assert_eq!(a.hot_rows()[2].used, 15, "stale until synced");
-        a.sync_hot(NodeId(2));
-        assert_eq!(a.hot_rows()[2].used, 45);
-        let hot: Vec<(u32, Bytes)> = a.hot_iter().map(|(id, h)| (id.0, h.used)).collect();
-        assert_eq!(hot, vec![(2, 45)]);
     }
 
     #[test]

@@ -68,8 +68,6 @@ pub struct Balancer {
     pub rounds: u64,
     /// Moves successfully executed since simulator start.
     pub total_moves: u64,
-    /// Bytes migrated since simulator start.
-    pub total_bytes_moved: u64,
 }
 
 impl Balancer {
@@ -81,7 +79,6 @@ impl Balancer {
             queue: VecDeque::new(),
             rounds: 0,
             total_moves: 0,
-            total_bytes_moved: 0,
         }
     }
 

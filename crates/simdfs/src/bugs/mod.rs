@@ -11,7 +11,7 @@
 pub mod catalog;
 pub mod trigger;
 
-pub use trigger::{Metric, SimEvent, Trigger, TriggerState};
+pub use trigger::{Metric, SimEvent, Trigger};
 
 use crate::flavor::Flavor;
 use crate::types::{NodeId, SimTime};
@@ -137,14 +137,6 @@ pub struct BugEngine {
     bugs: Vec<BugRuntime>,
 }
 
-/// A saved runtime state of a [`BugEngine`]: per-bug trigger progress plus
-/// fire bookkeeping, positionally matched to the engine's roster. Created
-/// by [`BugEngine::checkpoint`], consumed by [`BugEngine::restore`].
-#[derive(Debug, Clone)]
-pub struct BugEngineCheckpoint {
-    states: Vec<(TriggerState, Option<SimTime>, Option<NodeId>)>,
-}
-
 impl BugEngine {
     /// Arms the given bug specs.
     pub fn new(specs: Vec<BugSpec>) -> Self {
@@ -218,40 +210,6 @@ impl BugEngine {
         }
     }
 
-    /// Captures the runtime state of every armed bug: live trigger
-    /// progress, fire time and victim. This is what a fork mark stores —
-    /// the immutable [`BugSpec`]s stay with the engine, so a checkpoint
-    /// costs O(trigger progress), not a deep clone of every pattern.
-    pub fn checkpoint(&self) -> BugEngineCheckpoint {
-        BugEngineCheckpoint {
-            states: self
-                .bugs
-                .iter()
-                .map(|b| (b.trigger.save_state(), b.triggered_at, b.victim))
-                .collect(),
-        }
-    }
-
-    /// Rewinds every armed bug to a checkpoint taken from this engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint came from an engine with a different bug
-    /// roster (the fork machinery only ever pairs a sim with its own
-    /// marks).
-    pub fn restore(&mut self, ck: &BugEngineCheckpoint) {
-        assert_eq!(
-            self.bugs.len(),
-            ck.states.len(),
-            "bug checkpoint is from a different roster"
-        );
-        for (bug, (state, triggered_at, victim)) in self.bugs.iter_mut().zip(&ck.states) {
-            bug.trigger.load_state(state);
-            bug.triggered_at = *triggered_at;
-            bug.victim = *victim;
-        }
-    }
-
     /// Number of armed bugs.
     pub fn len(&self) -> usize {
         self.bugs.len()
@@ -315,46 +273,6 @@ mod tests {
         )]);
         assert_eq!(eng.observe(SimTime(1), &op_event()), vec![0]);
         assert!(eng.observe(SimTime(2), &op_event()).is_empty());
-    }
-
-    #[test]
-    fn checkpoint_restore_rewinds_trigger_progress_and_fire_state() {
-        // Two-step pattern: one Create leaves the trigger half-armed.
-        let mut eng = BugEngine::new(vec![spec(
-            "B1",
-            Trigger::subseq(vec![OpClass::Create, OpClass::Create], 4),
-            Gate::None,
-        )]);
-        let fresh = eng.checkpoint();
-        assert!(eng.observe(SimTime(1), &op_event()).is_empty());
-        let half = eng.checkpoint();
-
-        // Fire, then rewind to the half-armed point: one more Create must
-        // complete the pattern again.
-        assert_eq!(eng.observe(SimTime(2), &op_event()), vec![0]);
-        eng.set_victim(0, NodeId(7));
-        eng.restore(&half);
-        assert!(eng.triggered_ids().is_empty());
-        assert_eq!(eng.bugs()[0].victim, None);
-        assert_eq!(eng.observe(SimTime(3), &op_event()), vec![0]);
-
-        // Rewind to the pristine point: the full pattern is needed again.
-        eng.restore(&fresh);
-        assert!(eng.observe(SimTime(4), &op_event()).is_empty());
-        assert_eq!(eng.observe(SimTime(5), &op_event()), vec![0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "different roster")]
-    fn checkpoint_from_another_roster_is_rejected() {
-        let eng = BugEngine::new(vec![spec(
-            "B1",
-            Trigger::subseq(vec![OpClass::Create], 4),
-            Gate::None,
-        )]);
-        let ck = eng.checkpoint();
-        let mut other = BugEngine::new(vec![]);
-        other.restore(&ck);
     }
 
     #[test]

@@ -779,259 +779,6 @@ fn rearmed(t: &Trigger) -> Trigger {
     }
 }
 
-/// The mutable progress of a [`Trigger`], detached from its (often much
-/// larger) immutable configuration — pattern vectors, thresholds, windows
-/// stay with the live trigger. The snapshot-fork engine checkpoints armed
-/// bugs through this so a fork mark costs O(live state), not a deep clone
-/// of every spec.
-///
-/// A state only makes sense next to the trigger it was saved from:
-/// [`Trigger::load_state`] pairs variants positionally and panics on a
-/// shape mismatch, which can only happen if a checkpoint outlives the
-/// engine it came from.
-#[derive(Debug, Clone)]
-pub enum TriggerState {
-    /// Variants with no mutable state (`CacheRemigration`, `Never`).
-    Inert,
-    /// [`Trigger::Subseq`] progress.
-    Subseq {
-        /// Progress through the pattern.
-        progress: usize,
-        /// Ops since the last advance.
-        since: usize,
-    },
-    /// [`Trigger::OpCount`] progress.
-    OpCount {
-        /// Op indices and times of hits.
-        hits: VecDeque<(usize, u64)>,
-        /// Total ops observed.
-        opno: usize,
-    },
-    /// [`Trigger::SizeSpread`] progress.
-    SizeSpread {
-        /// Recent write sizes.
-        sizes: VecDeque<Bytes>,
-    },
-    /// [`Trigger::VarianceEpisodes`] progress.
-    VarianceEpisodes {
-        /// Episodes seen.
-        seen: u32,
-        /// Currently above the ratio.
-        above: bool,
-    },
-    /// [`Trigger::RebalanceBurst`] / [`Trigger::MembershipChurn`] progress.
-    Times {
-        /// Times of recent rounds/changes.
-        times: VecDeque<u64>,
-    },
-    /// [`Trigger::OfflineDuringRebalance`] progress.
-    OfflineDuringRebalance {
-        /// Rebalance in flight.
-        running: bool,
-    },
-    /// [`Trigger::RequestsDuringRebalance`] progress.
-    RequestsDuringRebalance {
-        /// Requests seen during rebalances.
-        seen: usize,
-        /// Rebalance in flight.
-        running: bool,
-    },
-    /// [`Trigger::SustainedVariance`] progress.
-    SustainedVariance {
-        /// Current run length.
-        run: u32,
-    },
-    /// [`Trigger::EchoedMix`] progress.
-    EchoedMix {
-        /// Classes of the current chunk.
-        chunk: Vec<OpClass>,
-        /// Previous chunk's class multiset.
-        prev: Vec<OpClass>,
-        /// Current run of similar chunks.
-        run: u32,
-    },
-    /// [`Trigger::All`] progress.
-    All {
-        /// Sub-trigger states, positionally.
-        subs: Vec<TriggerState>,
-        /// Which sub-triggers already fired.
-        fired: Vec<bool>,
-    },
-    /// [`Trigger::Within`] progress.
-    Within {
-        /// Sub-trigger states, positionally. `Within` re-arms a sub when
-        /// it fires, but re-arming only resets state — the configuration
-        /// is preserved — so positional pairing stays valid.
-        subs: Vec<TriggerState>,
-        /// Most recent fire stamp per sub.
-        stamps: Vec<Option<(usize, u64)>>,
-        /// Operations observed.
-        opno: usize,
-    },
-}
-
-impl Trigger {
-    /// Captures this trigger's mutable progress (see [`TriggerState`]).
-    pub fn save_state(&self) -> TriggerState {
-        match self {
-            Trigger::Subseq {
-                progress, since, ..
-            } => TriggerState::Subseq {
-                progress: *progress,
-                since: *since,
-            },
-            Trigger::OpCount { hits, opno, .. } => TriggerState::OpCount {
-                hits: hits.clone(),
-                opno: *opno,
-            },
-            Trigger::SizeSpread { sizes, .. } => TriggerState::SizeSpread {
-                sizes: sizes.clone(),
-            },
-            Trigger::VarianceEpisodes { seen, above, .. } => TriggerState::VarianceEpisodes {
-                seen: *seen,
-                above: *above,
-            },
-            Trigger::RebalanceBurst { times, .. } | Trigger::MembershipChurn { times, .. } => {
-                TriggerState::Times {
-                    times: times.clone(),
-                }
-            }
-            Trigger::OfflineDuringRebalance { running } => {
-                TriggerState::OfflineDuringRebalance { running: *running }
-            }
-            Trigger::RequestsDuringRebalance { seen, running, .. } => {
-                TriggerState::RequestsDuringRebalance {
-                    seen: *seen,
-                    running: *running,
-                }
-            }
-            Trigger::SustainedVariance { run, .. } => TriggerState::SustainedVariance { run: *run },
-            Trigger::EchoedMix {
-                chunk, prev, run, ..
-            } => TriggerState::EchoedMix {
-                chunk: chunk.clone(),
-                prev: prev.clone(),
-                run: *run,
-            },
-            Trigger::All { subs, fired } => TriggerState::All {
-                subs: subs.iter().map(Trigger::save_state).collect(),
-                fired: fired.clone(),
-            },
-            Trigger::Within {
-                subs, stamps, opno, ..
-            } => TriggerState::Within {
-                subs: subs.iter().map(Trigger::save_state).collect(),
-                stamps: stamps.clone(),
-                opno: *opno,
-            },
-            Trigger::CacheRemigration | Trigger::Never => TriggerState::Inert,
-        }
-    }
-
-    /// Rewinds this trigger's mutable progress to a previously saved
-    /// state, reusing the live trigger's allocations where possible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` was not saved from a trigger of this shape.
-    pub fn load_state(&mut self, state: &TriggerState) {
-        match (self, state) {
-            (
-                Trigger::Subseq {
-                    progress, since, ..
-                },
-                TriggerState::Subseq {
-                    progress: p,
-                    since: s,
-                },
-            ) => {
-                *progress = *p;
-                *since = *s;
-            }
-            (Trigger::OpCount { hits, opno, .. }, TriggerState::OpCount { hits: h, opno: o }) => {
-                hits.clone_from(h);
-                *opno = *o;
-            }
-            (Trigger::SizeSpread { sizes, .. }, TriggerState::SizeSpread { sizes: s }) => {
-                sizes.clone_from(s);
-            }
-            (
-                Trigger::VarianceEpisodes { seen, above, .. },
-                TriggerState::VarianceEpisodes { seen: s, above: a },
-            ) => {
-                *seen = *s;
-                *above = *a;
-            }
-            (
-                Trigger::RebalanceBurst { times, .. } | Trigger::MembershipChurn { times, .. },
-                TriggerState::Times { times: t },
-            ) => {
-                times.clone_from(t);
-            }
-            (
-                Trigger::OfflineDuringRebalance { running },
-                TriggerState::OfflineDuringRebalance { running: r },
-            ) => {
-                *running = *r;
-            }
-            (
-                Trigger::RequestsDuringRebalance { seen, running, .. },
-                TriggerState::RequestsDuringRebalance {
-                    seen: s,
-                    running: r,
-                },
-            ) => {
-                *seen = *s;
-                *running = *r;
-            }
-            (
-                Trigger::SustainedVariance { run, .. },
-                TriggerState::SustainedVariance { run: r },
-            ) => {
-                *run = *r;
-            }
-            (
-                Trigger::EchoedMix {
-                    chunk, prev, run, ..
-                },
-                TriggerState::EchoedMix {
-                    chunk: c,
-                    prev: p,
-                    run: r,
-                },
-            ) => {
-                chunk.clone_from(c);
-                prev.clone_from(p);
-                *run = *r;
-            }
-            (Trigger::All { subs, fired }, TriggerState::All { subs: s, fired: f }) => {
-                for (sub, st) in subs.iter_mut().zip(s) {
-                    sub.load_state(st);
-                }
-                fired.clone_from(f);
-            }
-            (
-                Trigger::Within {
-                    subs, stamps, opno, ..
-                },
-                TriggerState::Within {
-                    subs: s,
-                    stamps: st,
-                    opno: o,
-                },
-            ) => {
-                for (sub, sst) in subs.iter_mut().zip(s) {
-                    sub.load_state(sst);
-                }
-                stamps.clone_from(st);
-                *opno = *o;
-            }
-            (Trigger::CacheRemigration | Trigger::Never, TriggerState::Inert) => {}
-            (live, saved) => panic!("trigger/state shape mismatch: {live:?} cannot load {saved:?}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1374,56 +1121,5 @@ mod tests {
                 had_link: true
             }
         ));
-    }
-
-    #[test]
-    fn state_roundtrip_replays_identically_on_a_composite() {
-        // A Within over an OpCount (VecDeque state) and a Subseq: feed a
-        // partial stream, save, finish it once, rewind, and check the same
-        // continuation fires the trigger again at the same point.
-        let make = || {
-            Trigger::within(
-                vec![
-                    Trigger::op_count(vec![OpClass::Create], 3, 8),
-                    Trigger::subseq(vec![OpClass::Delete, OpClass::Rename], 4),
-                ],
-                16,
-            )
-        };
-        let mut t = make();
-        let prefix = [OpClass::Create, OpClass::Create, OpClass::Delete];
-        for c in prefix {
-            assert!(!t.observe(SimTime(1), &op(c)));
-        }
-        let saved = t.save_state();
-        let suffix = [OpClass::Create, OpClass::Rename];
-        let fires: Vec<bool> = suffix
-            .iter()
-            .map(|&c| t.observe(SimTime(2), &op(c)))
-            .collect();
-        assert_eq!(fires, vec![false, true]);
-
-        t.load_state(&saved);
-        let replayed: Vec<bool> = suffix
-            .iter()
-            .map(|&c| t.observe(SimTime(2), &op(c)))
-            .collect();
-        assert_eq!(replayed, fires, "restored state must replay identically");
-
-        // And a state saved from a fresh trigger rewinds all progress.
-        t.load_state(&make().save_state());
-        for c in prefix {
-            assert!(!t.observe(SimTime(3), &op(c)));
-        }
-        assert!(!t.observe(SimTime(3), &op(OpClass::Create)));
-        assert!(t.observe(SimTime(3), &op(OpClass::Rename)));
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn state_from_a_different_shape_is_rejected() {
-        let mut t = Trigger::subseq(vec![OpClass::Create], 4);
-        let other = Trigger::size_spread(4, 10.0).save_state();
-        t.load_state(&other);
     }
 }

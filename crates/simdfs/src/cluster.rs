@@ -7,7 +7,7 @@
 //! made by [`crate::sim::DfsSim`] using the flavor's placement policy and
 //! balancer.
 
-use crate::arena::{NodeArena, NodeHot, VolumeDirectory};
+use crate::arena::{NodeArena, VolumeDirectory};
 use crate::error::{SimError, SimResult};
 use crate::journal::UndoJournal;
 use crate::loadstats::UtilTracker;
@@ -67,8 +67,8 @@ pub struct Cluster {
     /// management nodes, so there is nothing for an arena to win, and the
     /// map keeps mgmt ids out of the storage arena's slot space accounting.
     pub mgmt: BTreeMap<NodeId, MgmtNode>,
-    /// Storage nodes in an arena indexed by raw id, with SoA hot columns
-    /// (see [`crate::arena`]). Iteration order is id order, exactly as the
+    /// Storage nodes in an arena indexed by raw id (see
+    /// [`crate::arena`]). Iteration order is id order, exactly as the
     /// former BTreeMap.
     pub storage: NodeArena,
     /// Physical file metadata by file id (ordered for deterministic
@@ -165,11 +165,10 @@ impl Cluster {
         }
     }
 
-    /// Re-derives one storage node's hot columns and streaming-stats entry
-    /// from its current volumes. Called by every mutation that can change
-    /// the node's utilization or eligibility.
+    /// Re-derives one storage node's streaming-stats entry from its
+    /// current volumes. Called by every mutation that can change the
+    /// node's utilization or eligibility.
     fn refresh_node_stats(&mut self, id: NodeId) {
-        self.storage.sync_hot(id);
         let q = self.storage.get(&id).and_then(|n| n.util_q());
         self.util_stats.update(id, q);
     }
@@ -210,18 +209,18 @@ impl Cluster {
     /// Enters bulk-load mode: fill mutations (store/free/migrate) skip the
     /// per-call streaming-stats and cached-view maintenance. Intended for
     /// the preload phase of scaled topologies, where touching the tracker
-    /// per replica dominates wall time at 100k nodes. Must be paired with
-    /// [`Cluster::end_bulk_load`] before anything reads the stats, views,
-    /// or hot columns; topology mutations remain fully maintained.
+    /// per replica costs deploy time on 2,000-node clusters. Must be
+    /// paired with [`Cluster::end_bulk_load`] before anything reads the
+    /// stats or views; topology mutations remain fully maintained.
     pub fn begin_bulk_load(&mut self) {
         self.bulk_load = true;
     }
 
-    /// Leaves bulk-load mode, rebuilding the hot columns and streaming
-    /// stats for every storage node from ground truth. The accumulators
-    /// are exact integers, so the rebuilt state is identical to what
-    /// per-mutation maintenance would have produced; the views cache is
-    /// invalidated and rebuilt lazily.
+    /// Leaves bulk-load mode, rebuilding the streaming stats for every
+    /// storage node from ground truth. The accumulators are exact
+    /// integers, so the rebuilt state is identical to what per-mutation
+    /// maintenance would have produced; the views cache is invalidated
+    /// and rebuilt lazily.
     pub fn end_bulk_load(&mut self) {
         self.bulk_load = false;
         let ids: Vec<NodeId> = self.storage.keys().copied().collect();
@@ -841,52 +840,48 @@ impl Cluster {
     /// Bytes stored per online storage node with at least one volume.
     ///
     /// Diskless nodes (all volumes detached) are excluded: they are out of
-    /// the storage pool and neither hold nor can receive data. Walks the
-    /// contiguous hot columns, not the node structs.
+    /// the storage pool and neither hold nor can receive data.
     pub fn node_storage(&self) -> Vec<(NodeId, Bytes)> {
         self.storage
-            .hot_iter()
-            .filter(|(_, h)| h.online && h.volumes > 0)
-            .map(|(id, h)| (id, h.used))
+            .values()
+            .filter(|n| n.online && !n.volumes.is_empty())
+            .map(|n| (n.id, n.used()))
             .collect()
     }
 
     /// Per-node (used, capacity) for online storage nodes with volumes.
     pub fn node_fill(&self) -> Vec<(NodeId, Bytes, Bytes)> {
         self.storage
-            .hot_iter()
-            .filter(|(_, h)| h.online && h.volumes > 0)
-            .map(|(id, h)| (id, h.used, h.capacity))
+            .values()
+            .filter(|n| n.online && !n.volumes.is_empty())
+            .map(|n| (n.id, n.used(), n.capacity()))
             .collect()
     }
 
-    /// Total free bytes across online storage nodes (hot-column scan).
+    /// Total free bytes across online storage nodes.
     pub fn total_free(&self) -> Bytes {
         self.storage
-            .hot_rows()
-            .iter()
-            .filter(|h| h.online)
-            .map(|h| h.capacity.saturating_sub(h.used))
+            .values()
+            .filter(|n| n.online)
+            .map(|n| n.capacity().saturating_sub(n.used()))
             .sum()
     }
 
-    /// Total capacity across online storage nodes (hot-column scan).
+    /// Total capacity across online storage nodes.
     pub fn total_capacity(&self) -> Bytes {
         self.storage
-            .hot_rows()
-            .iter()
-            .filter(|h| h.online)
-            .map(|h| h.capacity)
+            .values()
+            .filter(|n| n.online)
+            .map(|n| n.capacity())
             .sum()
     }
 
-    /// Total bytes stored across online storage nodes (hot-column scan).
+    /// Total bytes stored across online storage nodes.
     pub fn total_used(&self) -> Bytes {
         self.storage
-            .hot_rows()
-            .iter()
-            .filter(|h| h.online)
-            .map(|h| h.used)
+            .values()
+            .filter(|n| n.online)
+            .map(|n| n.used())
             .sum()
     }
 
@@ -959,7 +954,7 @@ impl Cluster {
                 self.generation += 1;
                 self.online_storage_nodes -= 1;
                 // util_q is None offline, so this removes the tracker
-                // entry and flips the hot row in one refresh.
+                // entry.
                 self.refresh_node_stats(id);
             }
         }
@@ -1020,9 +1015,8 @@ impl Cluster {
     /// * `used` never exceeds `capacity`;
     /// * every replica lands on a volume some storage node actually holds;
     /// * `volume_owner` and the per-node volume lists agree both ways;
-    /// * the streaming utilization stats, the online count, the hot
-    ///   columns and a fresh canonical-views cache equal a rebuild from
-    ///   the node tables.
+    /// * the streaming utilization stats, the online count and a fresh
+    ///   canonical-views cache equal a rebuild from the node tables.
     ///
     /// Returns a description of the first inconsistency found. The
     /// simulator runs it after every rewind when its runtime audit is on
@@ -1161,27 +1155,6 @@ impl Cluster {
                 "online storage count drifted: tracked {} but {} nodes are online",
                 self.online_storage_nodes, online
             ));
-        }
-        // The SoA hot columns (online/volumes/used/capacity per arena slot)
-        // feed totals and placement scans; recompute every row from the
-        // node structs and require empty slots to hold the default row.
-        let hot = self.storage.hot_rows();
-        for (nid, node) in &self.storage {
-            let want = NodeHot::of(node);
-            let got = hot.get(nid.0 as usize).copied().unwrap_or_default();
-            if got != want {
-                return Err(format!(
-                    "hot columns drifted for node {nid:?}: row {got:?} \
-                     but the node recomputes to {want:?}"
-                ));
-            }
-        }
-        for (i, row) in hot.iter().enumerate() {
-            if self.storage.get(&NodeId(i as u32)).is_none() && *row != NodeHot::default() {
-                return Err(format!(
-                    "empty arena slot {i} holds a non-default hot row {row:?}"
-                ));
-            }
         }
         // A fresh canonical-views cache must agree with a from-scratch
         // rebuild (fill mutations patch it in place). The rebuild streams
@@ -1325,27 +1298,6 @@ mod tests {
                     "online storage count drifted: tracked {} but {} nodes are online",
                     self.online_storage_nodes, online
                 ));
-            }
-            // The SoA hot columns (online/volumes/used/capacity per arena slot)
-            // feed totals and placement scans; recompute every row from the
-            // node structs and require empty slots to hold the default row.
-            let hot = self.storage.hot_rows();
-            for (nid, node) in &self.storage {
-                let want = NodeHot::of(node);
-                let got = hot.get(nid.0 as usize).copied().unwrap_or_default();
-                if got != want {
-                    return Err(format!(
-                        "hot columns drifted for node {nid:?}: row {got:?} \
-                         but the node recomputes to {want:?}"
-                    ));
-                }
-            }
-            for (i, row) in hot.iter().enumerate() {
-                if self.storage.get(&NodeId(i as u32)).is_none() && *row != NodeHot::default() {
-                    return Err(format!(
-                        "empty arena slot {i} holds a non-default hot row {row:?}"
-                    ));
-                }
             }
             // A fresh canonical-views cache must agree with a from-scratch
             // rebuild (fill mutations patch it in place).
@@ -1951,20 +1903,6 @@ mod tests {
     }
 
     #[test]
-    fn audit_catches_hot_column_drift() {
-        let mut c = cluster_with(2, 1, 10_000);
-        let node = c.online_storage()[0];
-        // An offline node is invisible to the file-table and streaming
-        // checks, so a stale hot row is exactly what the hot-column audit
-        // exists to catch.
-        c.set_offline(node);
-        // detlint:allow(journal-coverage): deliberate hot-column corruption to exercise the auditor
-        c.storage.get_mut(&node).unwrap().volumes[0].capacity += 7;
-        let err = c.audit().unwrap_err();
-        assert!(err.contains("hot columns"), "unexpected message: {err}");
-    }
-
-    #[test]
     fn audit_catches_streaming_stats_drift() {
         let mut c = cluster_with(2, 1, 10_000);
         let vid = c.volume_views()[0].volume;
@@ -2110,18 +2048,6 @@ mod tests {
                 c.util_stats.corrupt_root_for_test()
             }),
             ("online count one up", |c| c.online_storage_nodes += 1),
-            ("hot row of a live node drifted", |c| {
-                let n = c.storage.keys().last().unwrap().0 as usize;
-                // detlint:allow(journal-coverage): deliberate hot-column corruption for the audit differential
-                c.storage.hot_rows_mut()[n].used += 1;
-            }),
-            ("non-default hot row in an empty arena slot", |c| {
-                let hole = (0..c.storage.hot_rows().len())
-                    .find(|&i| c.storage.get(&NodeId(i as u32)).is_none())
-                    .expect("an empty arena slot");
-                // detlint:allow(journal-coverage): deliberate hot-column corruption for the audit differential
-                c.storage.hot_rows_mut()[hole].capacity = 1;
-            }),
             ("fresh views cache entry changed", |c| {
                 let mid = c.canonical_views().len() / 2;
                 // detlint:allow(journal-coverage): deliberate views-cache corruption for the audit differential
@@ -2234,7 +2160,7 @@ mod tests {
             let last = s.cluster().storage.values().last().unwrap();
             let volume = last.volumes[0].id;
             assert!(step(&mut s, DfsRequest::RemoveVolume { volume }, &at));
-            while s.cluster().storage.hot_rows().len() <= 17 {
+            while s.cluster().storage.keys().last().unwrap().0 < 17 {
                 let node = s.cluster().online_storage()[0];
                 assert!(step(&mut s, DfsRequest::RemoveStorageNode { node }, &at));
                 assert!(step(&mut s, add(), &at));

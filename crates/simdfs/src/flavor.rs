@@ -331,20 +331,7 @@ impl FlavorConfig {
             // Leave headroom for AddStorageNode churn on top of the
             // requested fleet (10%, at least 2 slots).
             cfg.max_storage_nodes = storage_nodes.saturating_add((storage_nodes / 10).max(2));
-            // From 50k nodes up the binding constraint flips: bulk-load
-            // preload made per-store cost cheap, so what matters is the
-            // *starting-state quantization imbalance* — k fragments per
-            // volume leave max/mean ≈ 1 + 1/k, and coarse GiB fragments at
-            // 100k nodes (k ≈ 8) start the cluster above every flavor's
-            // balancer threshold, which contradicts the balanced-deploy
-            // premise of preload. 512 MiB keeps k ≈ 17 (ratio ≈ 1.01, under
-            // all thresholds) while preload stays around a million
-            // round-robin placements.
-            cfg.base_file_size = if storage_nodes >= 50_000 {
-                512 * MIB
-            } else {
-                GIB
-            };
+            cfg.base_file_size = GIB;
         }
         cfg
     }
@@ -421,30 +408,6 @@ mod tests {
             let small = FlavorConfig::scaled(f, 1);
             assert_eq!(small.storage_nodes, base.storage_nodes);
             assert_eq!(small.base_file_size, base.base_file_size);
-        }
-    }
-
-    #[test]
-    fn scaled_100k_refines_base_files_below_balancer_thresholds() {
-        for f in Flavor::all() {
-            let big = FlavorConfig::scaled(f, 100_000);
-            assert_eq!(big.storage_nodes, 100_000);
-            // 512 MiB fragments keep the deploy-time quantization
-            // imbalance (≈ 1 + size / (base_fill · volume_capacity))
-            // safely under the flavor's balancer threshold: a fresh
-            // scaled cluster must start *balanced*.
-            assert_eq!(big.base_file_size, 512 * MIB);
-            let frag_ratio =
-                big.base_file_size as f64 / (big.base_fill * big.volume_capacity as f64);
-            assert!(
-                frag_ratio < big.balance_threshold,
-                "{}: deploy quantization {} >= threshold {}",
-                f.name(),
-                frag_ratio,
-                big.balance_threshold
-            );
-            // Below the 100k tier the 10k preload sizing holds.
-            assert_eq!(FlavorConfig::scaled(f, 10_000).base_file_size, GIB);
         }
     }
 

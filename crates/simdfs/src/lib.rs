@@ -54,7 +54,7 @@ pub mod request;
 pub mod sim;
 pub mod types;
 
-pub use arena::{NodeArena, NodeHot, VolumeDirectory};
+pub use arena::{NodeArena, VolumeDirectory};
 pub use balancer::{Balancer, MigrationMove, RebalanceStatus};
 pub use bugs::{BugEngine, BugSpec, Effect, FailureKind, Gate, Metric, SimEvent, Trigger};
 pub use cluster::Cluster;

@@ -148,7 +148,6 @@ impl DfsSim {
         self.stats.migrations += 1;
         self.stats.bytes_migrated += moved;
         self.balancer.total_moves += 1;
-        self.balancer.total_bytes_moved += moved;
         if moved > kept {
             self.stats.bytes_lost += moved - kept;
         }

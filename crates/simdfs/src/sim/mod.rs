@@ -111,10 +111,6 @@ pub struct DfsSim {
     /// `(view position, previous used)` — O(touched) per plan, reused so
     /// the hot path allocates nothing.
     undo_buf: Vec<(usize, Bytes)>,
-    /// Reusable volume→position index for the filtered (partition/hotspot)
-    /// planner, so its intra-plan fill updates are O(log V) lookups
-    /// instead of an O(V) scan per placed replica.
-    view_pos_buf: Vec<(VolumeId, u32)>,
     balancer: Balancer,
     bugs: BugEngine,
     coverage: CoverageModel,
@@ -180,7 +176,6 @@ impl DfsSim {
             placed_buf: Vec::new(),
             frags_buf: Vec::new(),
             undo_buf: Vec::new(),
-            view_pos_buf: Vec::new(),
             balancer: Balancer::new(cfg.balance_threshold),
             coverage: CoverageModel::new(cfg.coverage),
             bugs,
@@ -242,11 +237,11 @@ impl DfsSim {
         views.sort_by_key(|v| v.volume);
         let mut rr = 0usize;
         // Bulk-load mode defers the per-store tracker/view maintenance:
-        // `end_bulk_load` rebuilds the hot columns and streaming stats from
-        // ground truth in one O(V) pass, which is bit-identical to the
-        // per-mutation path because the accumulators are exact integers.
-        // At 100k nodes this turns preload from the dominant cost into a
-        // linear file-table fill.
+        // `end_bulk_load` rebuilds the streaming stats from ground truth in
+        // one O(V) pass, which is bit-identical to the per-mutation path
+        // because the accumulators are exact integers. Without it, deploying
+        // the four 2,000-node `scale-heavy` clusters takes about 10% longer
+        // (EXPERIMENTS.md).
         self.cluster.begin_bulk_load();
         let mut path = String::with_capacity(32);
         for i in 0..count {
@@ -776,18 +771,6 @@ impl DfsSim {
         const MAX_FRAGMENT: Bytes = 64 * MIB;
         let mut out = std::mem::take(&mut self.frags_buf);
         out.clear();
-        // Volume→position index for the intra-plan fill updates below: on
-        // large view lists a per-replica linear scan is an ambient O(V)
-        // inside the block loop, so build the sorted index once. Small
-        // lists stay on the linear scan (the index costs more than it
-        // saves there).
-        const LINEAR_SCAN_MAX: usize = 64;
-        let mut pos_index = std::mem::take(&mut self.view_pos_buf);
-        pos_index.clear();
-        if views.len() > LINEAR_SCAN_MAX {
-            pos_index.extend(views.iter().enumerate().map(|(i, v)| (v.volume, i as u32)));
-            pos_index.sort_unstable_by_key(|&(vol, _)| vol);
-        }
         let mut remaining = size;
         let mut block_idx = 0u64;
         let mut failed = None;
@@ -818,15 +801,7 @@ impl DfsSim {
                 }
                 // Keep the planning views' fill levels current so later
                 // blocks avoid volumes this plan already filled.
-                let pos = if pos_index.is_empty() {
-                    views.iter().position(|v| v.volume == vol)
-                } else {
-                    pos_index
-                        .binary_search_by_key(&vol, |&(v, _)| v)
-                        .ok()
-                        .map(|i| pos_index[i].1 as usize)
-                };
-                if let Some(p) = pos {
+                if let Some(p) = views.iter().position(|v| v.volume == vol) {
                     views[p].used = views[p].used.saturating_add(b);
                 }
             }
@@ -834,7 +809,6 @@ impl DfsSim {
             block_idx += 1;
         }
         self.views_buf = views;
-        self.view_pos_buf = pos_index;
         match failed {
             Some(e) => {
                 self.frags_buf = out;
@@ -2285,22 +2259,28 @@ mod tests {
     /// Restoring and replaying the same suffix reproduces the state a
     /// straight-line run reaches, including with placement caching on —
     /// the generation-tag invalidation must drop rings built by the
-    /// abandoned branch.
+    /// abandoned branch — and every armed bug's trigger progress, fire
+    /// time and victim.
     #[test]
     fn forked_suffix_replay_is_bit_identical() {
         let straight = {
-            let mut s = DfsSim::new(Flavor::CephFs, BugSet::New);
+            let mut s = DfsSim::new(Flavor::CephFs, BugSet::All);
             churn(&mut s, 0);
             churn(&mut s, 2);
-            (fingerprint(&s), s.coverage_count())
+            (
+                fingerprint(&s),
+                s.coverage_count(),
+                format!("{:?}", s.oracle_bugs()),
+            )
         };
-        let mut s = DfsSim::new(Flavor::CephFs, BugSet::New);
+        let mut s = DfsSim::new(Flavor::CephFs, BugSet::All);
         churn(&mut s, 0);
         let mark = s.fork();
         churn(&mut s, 1); // abandoned branch (different topology/rings)
         assert!(s.restore(mark));
         churn(&mut s, 2);
         assert_eq!(fingerprint(&s), straight.0);
+        assert_eq!(format!("{:?}", s.oracle_bugs()), straight.2);
         // Coverage is monotone: the abandoned branch may only have added
         // branches on top of the straight-line set.
         assert!(s.coverage_count() >= straight.1);

@@ -3,7 +3,7 @@
 
 use super::{DfsSim, SimStats};
 use crate::balancer::Balancer;
-use crate::bugs::BugEngineCheckpoint;
+use crate::bugs::BugEngine;
 use crate::clock::{PeriodicTimer, SimClock};
 use crate::cluster::{ClusterCheckpoint, FileTableUsage};
 use crate::crash::CrashRuntime;
@@ -28,7 +28,7 @@ pub(super) struct SimSnapshot {
     ns: NsCheckpoint,
     cluster: ClusterCheckpoint,
     balancer: Balancer,
-    bugs: BugEngineCheckpoint,
+    bugs: BugEngine,
     faults: FaultInjector,
     hash_cache: BTreeMap<u64, SimTime>,
     crashed: Vec<NodeId>,
@@ -117,7 +117,7 @@ impl DfsSim {
             ns: self.ns.checkpoint(),
             cluster: self.cluster.checkpoint(),
             balancer: self.balancer.clone(),
-            bugs: self.bugs.checkpoint(),
+            bugs: self.bugs.clone(),
             faults: self.faults.clone(),
             hash_cache: self.hash_cache.clone(),
             crashed: self.crashed.clone(),
@@ -172,7 +172,7 @@ impl DfsSim {
         self.cluster.restore_to(&snap.cluster);
         self.clock = snap.clock.clone();
         self.balancer.clone_from(&snap.balancer);
-        self.bugs.restore(&snap.bugs);
+        self.bugs.clone_from(&snap.bugs);
         self.faults.clone_from(&snap.faults);
         self.hash_cache.clone_from(&snap.hash_cache);
         self.crashed.clone_from(&snap.crashed);

@@ -251,8 +251,7 @@ proptest! {
     /// from-scratch `f64` recompute over the node tables after long churn
     /// sequences — store/free/resize via data requests, crash/heal via a
     /// fault plan, and a fork/restore rewind in the middle. This is the
-    /// differential guard for the arena-indexed tracker at the 100k-node
-    /// tier of `FlavorConfig::scaled`.
+    /// differential guard for the arena-indexed tracker at 100k nodes.
     #[test]
     fn tracker_matches_float_recompute_after_churn_100k(
         ops in proptest::collection::vec((0u8..6, any::<u32>(), 1u64..48), 60..140),

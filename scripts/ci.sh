@@ -112,7 +112,7 @@ if [[ "${1:-}" != "--no-bench" ]]; then
     # results/BENCH_3.json.
     run cargo run --release --offline -p bench --bin repro -- scale
     test -s results/BENCH_3.json
-    check_schema results/BENCH_3.json 3
+    check_schema results/BENCH_3.json 4
     echo "==> results/BENCH_3.json:"
     cat results/BENCH_3.json
 
@@ -146,7 +146,7 @@ if [[ "${1:-}" != "--no-bench" ]]; then
     # the equal-budget random-time baseline, into results/BENCH_5.json.
     run cargo run --release --offline -p bench --bin repro -- crash
     test -s results/BENCH_5.json
-    check_schema results/BENCH_5.json 5
+    check_schema results/BENCH_5.json 6
     echo "==> results/BENCH_5.json:"
     cat results/BENCH_5.json
 
