@@ -20,41 +20,27 @@ use themis::spec::{Operand, Operation, Operator};
 /// A shared simulator handle.
 pub type SimHandle = Rc<RefCell<DfsSim>>;
 
-/// Client-side retry and timeout semantics for [`SimAdaptor::send`].
+/// Client-side retries of a `ClusterDown` send by [`SimAdaptor::send`].
 ///
 /// Real DFS clients do not give up on the first connection refusal: they
 /// retry with backoff (surviving brief control-plane outages such as a
 /// partition that later heals) and abandon requests that exceed a client
-/// timeout. The defaults are chosen so a fault-free simulator never hits
+/// timeout. The values are chosen so a fault-free simulator never hits
 /// either path: the costliest normal request is ~30.5 s, well under
-/// `timeout_ms`, and `ClusterDown` cannot occur without faults or
+/// [`CLIENT_TIMEOUT_MS`], and `ClusterDown` cannot occur without faults or
 /// node-removal operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Additional attempts after the first failed send.
-    pub max_retries: u32,
-    /// Initial backoff between attempts (doubles per retry, virtual time).
-    pub backoff_ms: u64,
-    /// Client-side timeout: completed requests slower than this surface as
-    /// rejected (the client hung up before the reply arrived).
-    pub timeout_ms: u64,
-}
+const MAX_RETRIES: u32 = 2;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 2,
-            backoff_ms: 5_000,
-            timeout_ms: 120_000,
-        }
-    }
-}
+/// Backoff before the first retry; it doubles per retry (virtual time).
+const RETRY_BACKOFF_MS: u64 = 5_000;
+
+/// Client-side timeout: completed requests slower than this surface as
+/// rejected (the client hung up before the reply arrived).
+const CLIENT_TIMEOUT_MS: u64 = 120_000;
 
 /// Adaptor binding Themis to one simulated DFS instance.
 pub struct SimAdaptor {
     sim: SimHandle,
-    /// Retry/backoff/timeout behavior applied by [`DfsAdaptor::send`].
-    pub retry: RetryPolicy,
     /// Recently sent operations, oldest first (bounded ring). Commands are
     /// rendered on demand by [`SimAdaptor::command_log`] — rendering on
     /// every send would put string formatting on the campaign hot path.
@@ -78,7 +64,6 @@ impl SimAdaptor {
     pub fn from_handle(sim: SimHandle) -> Self {
         SimAdaptor {
             sim,
-            retry: RetryPolicy::default(),
             op_log: std::collections::VecDeque::new(),
             command_log_cap: 4096,
             snap_buf: ClusterSnapshot::default(),
@@ -213,8 +198,8 @@ impl DfsAdaptor for SimAdaptor {
         let req = self
             .translate(op)
             .ok_or_else(|| AdaptorError::Rejected(format!("untranslatable operation: {op}")))?;
-        let mut backoff = self.retry.backoff_ms.max(1);
-        let mut attempts_left = self.retry.max_retries;
+        let mut backoff = RETRY_BACKOFF_MS;
+        let mut attempts_left = MAX_RETRIES;
         loop {
             // Bind before matching: the scrutinee's RefCell guard would
             // otherwise live through the arms and conflict with `tick`.
@@ -224,8 +209,8 @@ impl DfsAdaptor for SimAdaptor {
                     // The request completed server-side, but a client that
                     // waited past its timeout already hung up: report it
                     // as rejected. Only slow-node faults push latency this
-                    // high (normal worst case ~30.5 s < 120 s default).
-                    return if out.latency_ms > self.retry.timeout_ms {
+                    // high (normal worst case ~30.5 s < 120 s).
+                    return if out.latency_ms > CLIENT_TIMEOUT_MS {
                         Err(AdaptorError::Rejected(format!(
                             "client timeout after {} ms",
                             out.latency_ms
@@ -599,35 +584,48 @@ mod tests {
 
     #[test]
     fn client_timeout_rejects_slow_requests() {
+        use simdfs::{FaultEvent, FaultKind, FaultPlan};
         let mut a = adaptor(Flavor::Hdfs);
-        // Absurdly tight client timeout: every request is now "too slow".
-        a.retry.timeout_ms = 0;
+        // Both gateways slowed 300x: a 1 MiB create (510 ms) takes 153 s,
+        // past the 120 s client timeout, until the heal at 200 s.
+        let slow = |index| FaultEvent {
+            at_ms: 1_000,
+            kind: FaultKind::SlowMgmt { index, factor: 300 },
+        };
+        a.handle().borrow_mut().set_fault_plan(FaultPlan::new(vec![
+            slow(0),
+            slow(1),
+            FaultEvent {
+                at_ms: 200_000,
+                kind: FaultKind::Heal,
+            },
+        ]));
+        a.wait(2_000);
         match a.send(&create("/x", 1 << 20)) {
             Err(AdaptorError::Rejected(msg)) => assert!(msg.contains("client timeout")),
             other => panic!("expected client timeout, got {other:?}"),
         }
         // The file was still created server-side (the client only hung
-        // up), so the default-policy adaptor behavior is unchanged.
-        a.retry = RetryPolicy::default();
+        // up), and once healed the gateways answer in time again.
+        assert!(a.handle().borrow().namespace().open("/x").is_ok());
+        a.wait(50_000);
         a.send(&create("/y", 1 << 20)).unwrap();
     }
 
     #[test]
     fn retry_with_backoff_survives_transient_outage() {
         use simdfs::{FaultEvent, FaultKind, FaultPlan};
+        let partition = |at_ms| FaultEvent {
+            at_ms,
+            kind: FaultKind::PartitionMgmt { index: 0 },
+        };
         let mut a = adaptor(Flavor::Hdfs);
         // Partition both management nodes away at t=1s, heal at t=10s: a
         // transient control-plane outage. The retry backoff (5 s, then
         // 10 s of virtual time) carries the client past the heal.
         a.handle().borrow_mut().set_fault_plan(FaultPlan::new(vec![
-            FaultEvent {
-                at_ms: 1_000,
-                kind: FaultKind::PartitionMgmt { index: 0 },
-            },
-            FaultEvent {
-                at_ms: 1_000,
-                kind: FaultKind::PartitionMgmt { index: 0 },
-            },
+            partition(1_000),
+            partition(1_000),
             FaultEvent {
                 at_ms: 10_000,
                 kind: FaultKind::Heal,
@@ -636,24 +634,20 @@ mod tests {
         a.wait(2_000);
         assert!(a.send(&create("/x", 1 << 20)).is_ok());
 
-        // With retries disabled the same outage surfaces as Down.
+        // An outage that never heals surfaces as Down once both retries
+        // have backed off, 5 s + 10 s of virtual time later.
         let mut b = adaptor(Flavor::Hdfs);
-        b.retry.max_retries = 0;
-        b.handle().borrow_mut().set_fault_plan(FaultPlan::new(vec![
-            FaultEvent {
-                at_ms: 1_000,
-                kind: FaultKind::PartitionMgmt { index: 0 },
-            },
-            FaultEvent {
-                at_ms: 1_000,
-                kind: FaultKind::PartitionMgmt { index: 0 },
-            },
-        ]));
+        b.handle()
+            .borrow_mut()
+            .set_fault_plan(FaultPlan::new(vec![partition(1_000), partition(1_000)]));
         b.wait(2_000);
+        let before = b.handle().borrow().now();
         assert!(matches!(
             b.send(&create("/x", 1 << 20)),
             Err(AdaptorError::Down(_))
         ));
+        let waited = b.handle().borrow().now().as_millis() - before.as_millis();
+        assert_eq!(waited, 15_000);
     }
 
     #[test]

@@ -101,14 +101,6 @@ pub struct VarianceScaling {
 }
 
 impl VarianceScaling {
-    /// Best-sample probe cost at the given fleet size, if measured.
-    pub fn probe_cost_at(&self, nodes: u32) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|p| p.nodes == nodes)
-            .map(|p| p.probe.min_s)
-    }
-
     /// Probe cost at the largest fleet over the cost at the smallest —
     /// the acceptance criterion's flatness number (O(1) sampling keeps
     /// this near 1.0; the old full-recompute walk would scale it with n).

@@ -1,8 +1,8 @@
 //! No-op `Serialize` / `Deserialize` derives.
 //!
-//! The workspace uses serde derives purely as annotations — the only
-//! functional serialization (the test-case JSON round-trip) is hand-rolled
-//! in `themis::spec::json`. These derives therefore expand to nothing,
+//! The workspace uses serde derives purely as annotations — every JSON it
+//! writes comes from hand-rolled writers such as `themis::spec::json`.
+//! These derives therefore expand to nothing,
 //! which keeps every `#[derive(Serialize, Deserialize)]` in the tree
 //! compiling without the unreachable crates-io registry.
 

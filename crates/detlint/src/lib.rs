@@ -35,7 +35,7 @@ pub mod semantic;
 pub mod syntax;
 
 use rules::{Severity, PRAGMA_RULE, RULES, UNUSED_PRAGMA_RULE};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
@@ -468,15 +468,6 @@ pub fn lint_root(root: &Path) -> io::Result<LintOutcome> {
         sources.push((rel, src));
     }
     Ok(lint_files(&sources))
-}
-
-/// The rule ids that pragma hygiene accepts, for documentation output.
-pub fn rule_ids() -> BTreeSet<&'static str> {
-    RULES
-        .iter()
-        .map(|r| r.id)
-        .chain(semantic::SEM_RULES.iter().map(|r| r.id))
-        .collect()
 }
 
 #[cfg(test)]

@@ -13,8 +13,6 @@ use super::{BugSpec, Effect, FailureKind, Gate};
 use crate::flavor::Flavor;
 use crate::request::OpClass;
 
-const MIB: u64 = 1024 * 1024;
-
 /// The dense mixed-configuration window that gates the deep failures: many
 /// storage-node *and* volume commands inside one short span of operations.
 /// Load variance-guided fuzzing concentrates exactly this kind of pressure
@@ -749,11 +747,6 @@ pub fn table1_counts() -> Vec<(Flavor, usize)> {
 /// whose reproduction Figure 2 plots (GLUSTER-3356 storage accumulation).
 pub fn figure2_bug_id() -> &'static str {
     "GLUSTER-3356"
-}
-
-/// Large size used by tests and workloads as a "big file" (256 MiB).
-pub fn big_file() -> u64 {
-    256 * MIB
 }
 
 #[cfg(test)]

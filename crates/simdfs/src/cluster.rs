@@ -50,7 +50,6 @@ pub(crate) struct ClusterCheckpoint {
     generation: u64,
     files_mark: usize,
     util_stats: UtilTracker,
-    online_storage_nodes: usize,
 }
 
 impl ClusterCheckpoint {
@@ -97,9 +96,6 @@ pub struct Cluster {
     /// incremental-variance contract in DESIGN.md; `audit` recomputes it
     /// from the node tables and fails on drift.
     util_stats: UtilTracker,
-    /// Online storage node count, maintained by `add`/`remove`/`set_*` so
-    /// liveness checks need no fleet walk.
-    online_storage_nodes: usize,
     /// Cached canonical volume views (the no-fault, no-hotspot placement
     /// input). Valid while `views_built == Some(generation)`; fill-level
     /// mutations patch entries in place via `sync_view_used`, view-changing
@@ -326,7 +322,6 @@ impl Cluster {
             generation: self.generation,
             files_mark: self.journal.mark(),
             util_stats: self.util_stats.clone(),
-            online_storage_nodes: self.online_storage_nodes,
         }
     }
 
@@ -352,7 +347,6 @@ impl Cluster {
         self.next_volume = cp.next_volume;
         self.generation = cp.generation;
         self.util_stats.clone_from(&cp.util_stats);
-        self.online_storage_nodes = cp.online_storage_nodes;
         // Divergent suffixes reuse generation numbers, so a fresh-looking
         // cache could describe the abandoned branch: force a rebuild.
         self.views_built = None;
@@ -415,7 +409,6 @@ impl Cluster {
             },
         );
         self.generation += 1;
-        self.online_storage_nodes += 1;
         self.refresh_node_stats(id);
         (id, vol_ids)
     }
@@ -430,7 +423,8 @@ impl Cluster {
         if !self.storage.contains_key(&id) {
             return Err(SimError::NoSuchNode(id));
         }
-        if self.online_storage_nodes <= 1 {
+        let online_nodes = self.storage.values().filter(|n| n.online).count();
+        if online_nodes <= 1 {
             return Err(SimError::LastNode(id));
         }
         let node = self.storage.remove(&id).expect("checked above");
@@ -439,9 +433,6 @@ impl Cluster {
             self.volume_owner.remove(v);
         }
         self.generation += 1;
-        if node.online {
-            self.online_storage_nodes -= 1;
-        }
         self.util_stats.update(id, None);
         Ok(self.strip_replicas(&dead_vols))
     }
@@ -584,7 +575,6 @@ impl Cluster {
                 node: node.id,
                 capacity: v.capacity,
                 used: v.used,
-                online: true,
             })
         })
     }
@@ -908,15 +898,10 @@ impl Cluster {
         self.mgmt.values().any(|m| m.online)
     }
 
-    /// Whether any storage node is online. O(1): reads the maintained
-    /// online count instead of walking the fleet.
+    /// Whether any storage node is online (allocation-free; stops at the
+    /// first online node).
     pub fn has_online_storage(&self) -> bool {
-        self.online_storage_nodes > 0
-    }
-
-    /// Number of online storage nodes (O(1), incrementally maintained).
-    pub fn online_storage_count(&self) -> usize {
-        self.online_storage_nodes
+        self.storage.values().any(|n| n.online)
     }
 
     /// Number of online management nodes (allocation-free).
@@ -952,7 +937,6 @@ impl Cluster {
                 n.online = false;
                 // Offline storage nodes drop out of `volume_views`.
                 self.generation += 1;
-                self.online_storage_nodes -= 1;
                 // util_q is None offline, so this removes the tracker
                 // entry.
                 self.refresh_node_stats(id);
@@ -971,7 +955,6 @@ impl Cluster {
                 n.online = true;
                 // The node's volumes re-enter `volume_views`.
                 self.generation += 1;
-                self.online_storage_nodes += 1;
                 self.refresh_node_stats(id);
             }
         }
@@ -1015,8 +998,8 @@ impl Cluster {
     /// * `used` never exceeds `capacity`;
     /// * every replica lands on a volume some storage node actually holds;
     /// * `volume_owner` and the per-node volume lists agree both ways;
-    /// * the streaming utilization stats, the online count and a fresh
-    ///   canonical-views cache equal a rebuild from the node tables.
+    /// * the streaming utilization stats and a fresh canonical-views cache
+    ///   equal a rebuild from the node tables.
     ///
     /// Returns a description of the first inconsistency found. The
     /// simulator runs it after every rewind when its runtime audit is on
@@ -1125,10 +1108,10 @@ impl Cluster {
                 vols_seen
             ));
         }
-        // The streaming utilization stats and the online count are
-        // maintained incrementally at every mutation site; rebuild both
-        // from the node tables and fail on any drift. The tracker spans
-        // the node-id slots up to the highest storage node.
+        // The streaming utilization stats are maintained incrementally at
+        // every mutation site; rebuild them from the node tables and fail
+        // on any drift. The tracker spans the node-id slots up to the
+        // highest storage node.
         let slots = self.storage.keys().last().map_or(0, |id| id.0 as usize + 1);
         let fresh = UtilTracker::from_leaves(
             slots,
@@ -1147,13 +1130,6 @@ impl Cluster {
                 fresh.count(),
                 fresh.sum_q(),
                 fresh.max_q()
-            ));
-        }
-        let online = self.storage.values().filter(|n| n.online).count();
-        if online != self.online_storage_nodes {
-            return Err(format!(
-                "online storage count drifted: tracked {} but {} nodes are online",
-                self.online_storage_nodes, online
             ));
         }
         // A fresh canonical-views cache must agree with a from-scratch
@@ -1267,15 +1243,11 @@ mod tests {
                     vols_seen
                 ));
             }
-            // The streaming utilization stats and the online count are
-            // maintained incrementally at every mutation site; rebuild both
-            // from the node tables and fail on any drift.
+            // The streaming utilization stats are maintained incrementally
+            // at every mutation site; rebuild them from the node tables and
+            // fail on any drift.
             let mut fresh = UtilTracker::new();
-            let mut online = 0usize;
             for (nid, node) in &self.storage {
-                if node.online {
-                    online += 1;
-                }
                 if let Some(q) = node.util_q() {
                     fresh.update(*nid, Some(q));
                 }
@@ -1291,12 +1263,6 @@ mod tests {
                     fresh.count(),
                     fresh.sum_q(),
                     fresh.max_q()
-                ));
-            }
-            if online != self.online_storage_nodes {
-                return Err(format!(
-                    "online storage count drifted: tracked {} but {} nodes are online",
-                    self.online_storage_nodes, online
                 ));
             }
             // A fresh canonical-views cache must agree with a from-scratch
@@ -1617,7 +1583,6 @@ mod tests {
             node: NodeId(999),
             capacity: 0,
             used: 0,
-            online: false,
         }];
         c.volume_views_into(&mut buf);
         assert_eq!(buf, c.volume_views());
@@ -1768,7 +1733,7 @@ mod tests {
     #[test]
     fn streaming_stats_follow_every_mutation() {
         let mut c = cluster_with(3, 2, 10_000);
-        assert_eq!(c.online_storage_count(), 3);
+        assert_eq!(c.online_storage().len(), 3);
         assert_eq!(c.util_stats().count(), 3);
         assert_eq!(c.util_stats().sum_q(), 0);
 
@@ -1789,21 +1754,21 @@ mod tests {
         let node0 = views[0].node;
         c.set_offline(node0);
         c.audit().unwrap();
-        assert_eq!(c.online_storage_count(), 2);
+        assert_eq!(c.online_storage().len(), 2);
         assert_eq!(c.util_stats().count(), 2);
         // Offline twice is a no-op, not a double decrement.
         c.set_offline(node0);
-        assert_eq!(c.online_storage_count(), 2);
+        assert_eq!(c.online_storage().len(), 2);
         c.set_online(node0);
         c.audit().unwrap();
-        assert_eq!(c.online_storage_count(), 3);
+        assert_eq!(c.online_storage().len(), 3);
 
         c.set_volumes_full(node0);
         c.audit().unwrap();
 
         let (nid, vids) = c.add_storage(1, 10_000);
         c.audit().unwrap();
-        assert_eq!(c.online_storage_count(), 4);
+        assert_eq!(c.online_storage().len(), 4);
         c.free_file(FileId(2));
         c.rescale_file(FileId(1), 5_000, 1_000).unwrap();
         c.audit().unwrap();
@@ -1815,7 +1780,7 @@ mod tests {
         c.remove_volume(extra).unwrap();
         c.remove_storage(nid).unwrap();
         c.audit().unwrap();
-        assert_eq!(c.online_storage_count(), 3);
+        assert_eq!(c.online_storage().len(), 3);
     }
 
     #[test]
@@ -1835,7 +1800,7 @@ mod tests {
 
         c.restore_to(&cp);
         assert_eq!(c.util_stats(), &stats0);
-        assert_eq!(c.online_storage_count(), 2);
+        assert_eq!(c.online_storage().len(), 2);
         c.audit().unwrap();
     }
 
@@ -2047,7 +2012,6 @@ mod tests {
             ("tracker root one quantum down", |c| {
                 c.util_stats.corrupt_root_for_test()
             }),
-            ("online count one up", |c| c.online_storage_nodes += 1),
             ("fresh views cache entry changed", |c| {
                 let mid = c.canonical_views().len() / 2;
                 // detlint:allow(journal-coverage): deliberate views-cache corruption for the audit differential

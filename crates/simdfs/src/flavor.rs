@@ -341,17 +341,6 @@ impl FlavorConfig {
     pub fn default_new_volume_capacity(&self) -> Bytes {
         self.volume_capacity
     }
-
-    /// Default size bound for generated files (a fraction of one volume so
-    /// single files cannot trivially fill a node).
-    pub fn max_reasonable_file(&self) -> Bytes {
-        self.volume_capacity / 8
-    }
-
-    /// Smallest granularity of file data the simulator tracks.
-    pub fn io_unit(&self) -> Bytes {
-        MIB
-    }
 }
 
 #[cfg(test)]
@@ -413,9 +402,16 @@ mod tests {
 
     #[test]
     fn placement_kinds_build() {
-        for f in Flavor::all() {
-            let p = f.config().placement.build();
-            assert!(!p.name().is_empty());
+        for (kind, policy) in [
+            (PlacementKind::FreeSpaceWeighted, "FreeSpaceWeighted"),
+            (PlacementKind::Crush, "CrushStraw2"),
+            (PlacementKind::DhtRing, "DhtHashRing"),
+            (PlacementKind::VnodeRing, "VnodeRing"),
+        ] {
+            assert!(
+                format!("{:?}", kind.build()).starts_with(policy),
+                "{kind:?}"
+            );
         }
     }
 

@@ -208,29 +208,6 @@ impl ClusterSnapshot {
             .collect();
         Self::imbalance_ratio(&v)
     }
-
-    /// CPU imbalance ratio over online management nodes.
-    pub fn cpu_imbalance(&self) -> f64 {
-        let v: Vec<f64> = self.by_role(NodeRole::Management).map(|n| n.cpu).collect();
-        Self::imbalance_ratio(&v)
-    }
-
-    /// Network imbalance ratio over online management nodes.
-    ///
-    /// Network load is the request rate plus read/write IO, matching the
-    /// paper's network load data definition.
-    pub fn network_imbalance(&self) -> f64 {
-        let v: Vec<f64> = self
-            .by_role(NodeRole::Management)
-            .map(|n| n.rps + n.read_io + n.write_io)
-            .collect();
-        Self::imbalance_ratio(&v)
-    }
-
-    /// Total bytes stored across online storage nodes.
-    pub fn total_stored(&self) -> Bytes {
-        self.by_role(NodeRole::Storage).map(|n| n.storage).sum()
-    }
 }
 
 #[cfg(test)]
@@ -304,7 +281,6 @@ mod tests {
         };
         // mean = 20, max = 30 -> 1.5; the management node's bytes are ignored.
         assert!((snap.storage_imbalance() - 1.5).abs() < 1e-12);
-        assert_eq!(snap.total_stored(), 40);
     }
 
     #[test]

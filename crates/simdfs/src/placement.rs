@@ -6,11 +6,17 @@
 //! weighted rendezvous hashing (Ceph), and free-space-weighted selection
 //! (the HDFS block placement heuristic). All policies are deterministic
 //! functions of the placement key and the current volume views.
+//!
+//! Each policy has one production implementation, the cached
+//! [`PlacementPolicy::place_via`] over a [`PlacementCache`]; the simulator
+//! places canonical and filtered view lists alike through it. An uncached
+//! per-policy reference, compiled only for tests, checks it.
 
 use crate::hashing::{hash01, mix};
 use crate::types::{Bytes, NodeId, VolumeId};
 
-/// A read-only view of one candidate volume offered to a policy.
+/// A read-only view of one candidate volume, on an online storage node,
+/// offered to a policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VolumeView {
     /// The volume.
@@ -21,8 +27,6 @@ pub struct VolumeView {
     pub capacity: Bytes,
     /// Bytes currently stored.
     pub used: Bytes,
-    /// Whether the hosting node is online.
-    pub online: bool,
 }
 
 impl VolumeView {
@@ -44,19 +48,20 @@ pub type Placement = Vec<VolumeId>;
 
 /// Precomputed, generation-invalidated placement state.
 ///
-/// Ring policies pay an `O(V log V)` ring build per [`PlacementPolicy::place`]
-/// call; on the fuzzing hot path that cost dominates. A `PlacementCache`
-/// holds each policy's precomputed structures — sorted DHT ring, vnode
-/// ring, CRUSH weight table — tagged with the cluster *topology generation*
-/// they were built for, plus reusable scoring scratch buffers. The
-/// structures index into the canonical `views` slice rather than copying
-/// it, so per-call fill levels (`used`) are always read fresh while the
+/// Ring policies would pay an `O(V log V)` ring build per placement; on the
+/// fuzzing hot path that cost dominates. A `PlacementCache` holds each
+/// policy's precomputed structures — sorted DHT ring, vnode ring, CRUSH
+/// weight table — tagged with the cluster *topology generation* they were
+/// built for, plus reusable scoring scratch buffers. The structures index
+/// into the `views` slice they were built for rather than copying it, so
+/// per-call fill levels (`used`) are always read fresh while the
 /// membership-dependent parts are rebuilt only when the generation changes
-/// (see [`crate::cluster::Cluster::generation`]).
+/// (see [`crate::cluster::Cluster::generation`]). A cache serves one
+/// policy for its whole life, as a simulator builds one.
 #[derive(Debug, Default)]
 pub struct PlacementCache {
-    /// `(generation, policy name)` the cached structures were built for.
-    built: Option<(u64, &'static str)>,
+    /// Topology generation the cached structures were built for.
+    built: Option<u64>,
     /// Ring entries `(hash point, tie-break, view index)`.
     ring: Vec<(u64, u32, u32)>,
     /// Per-view weights (CRUSH straw2).
@@ -73,17 +78,10 @@ impl PlacementCache {
         Self::default()
     }
 
-    /// Drops the cached structures; the next placement rebuilds them.
-    /// Required when the cluster object itself is replaced (its generation
-    /// counter restarts) rather than mutated.
-    pub fn invalidate(&mut self) {
-        self.built = None;
-    }
-
     /// Whether the cache currently holds structures built for
-    /// `(generation, policy)`.
-    pub fn is_fresh(&self, generation: u64, policy: &'static str) -> bool {
-        self.built == Some((generation, policy))
+    /// `generation`.
+    pub fn is_fresh(&self, generation: u64) -> bool {
+        self.built == Some(generation)
     }
 
     /// Drops the cached structures only if they were built for a topology
@@ -95,58 +93,52 @@ impl PlacementCache {
     /// later generation must go — the re-executed suffix may reuse the
     /// same generation numbers for a different topology.
     pub fn invalidate_if_newer_than(&mut self, generation: u64) {
-        if matches!(self.built, Some((g, _)) if g > generation) {
+        if matches!(self.built, Some(g) if g > generation) {
             self.built = None;
         }
     }
 }
 
-/// A deterministic replica placement policy.
+/// A deterministic replica placement policy: [`PlacementPolicy::rebuild`]
+/// builds its membership-dependent structures into a [`PlacementCache`]
+/// once, and [`PlacementPolicy::place_via`] places any number of blocks on
+/// the same view list through them.
 pub trait PlacementPolicy: std::fmt::Debug + Send {
-    /// Human-readable policy name.
-    fn name(&self) -> &'static str;
-
-    /// Chooses up to `replicas` volumes (on distinct nodes where possible)
-    /// for the data identified by `key`. `views` lists candidate volumes on
-    /// online nodes; policies must not return duplicates. An empty result
-    /// means no placement is possible.
-    ///
-    /// This is the uncached reference path: ring policies rebuild their
-    /// ring on every call. The simulator uses it only for partition- and
-    /// hotspot-filtered views; canonical views go through
-    /// [`PlacementPolicy::place_cached`], which the tests check against
-    /// this path.
+    /// The uncached reference: chooses up to `replicas` volumes (on
+    /// distinct nodes where possible) for the data identified by `key`,
+    /// rebuilding any ring or weight table on every call. The tests check
+    /// [`PlacementPolicy::place_via`] against it.
+    #[cfg(test)]
     fn place(&self, key: u64, size: Bytes, replicas: usize, views: &[VolumeView]) -> Placement;
 
-    /// Rebuilds `cache`'s precomputed structures for `views`. Called by
-    /// [`PlacementPolicy::place_cached`] when the topology generation
-    /// changed; policies without precomputable state do nothing.
+    /// Rebuilds `cache`'s precomputed structures for `views`. Policies
+    /// without precomputable state do nothing.
     fn rebuild(&self, _cache: &mut PlacementCache, _views: &[VolumeView]) {}
 
-    /// Places using `cache`, which must hold structures built by
+    /// Chooses up to `replicas` volumes (on distinct nodes where possible)
+    /// for the data identified by `key`, writing them into `out` (cleared
+    /// first). `views` lists candidate volumes on online nodes; no volume
+    /// is chosen twice, and an empty result means no placement is
+    /// possible. `cache` must hold structures built by
     /// [`PlacementPolicy::rebuild`] for this exact `views` slice (same
-    /// membership and order; `used` fill levels may differ), writing the
-    /// chosen volumes into `out` (cleared first). The default falls back
-    /// to the uncached path.
+    /// membership and order; `used` fill levels may differ).
     fn place_via(
         &self,
-        _cache: &mut PlacementCache,
+        cache: &mut PlacementCache,
         key: u64,
         size: Bytes,
         replicas: usize,
         views: &[VolumeView],
         out: &mut Placement,
-    ) {
-        *out = self.place(key, size, replicas, views);
-    }
+    );
 
-    /// Cached entry point: rebuilds the cache iff `generation` does not
-    /// match what it was built for, then places through it into `out`
-    /// (cleared first; reuse one buffer across calls to keep the hot loop
-    /// allocation-free). `views` must be the canonical view list for
-    /// `generation` — callers that filter or reorder views (e.g.
-    /// bug-injected hotspot placement) must use
-    /// [`PlacementPolicy::place`] directly.
+    /// Generation-keyed entry point: rebuilds the cache iff `generation`
+    /// does not match what it was built for, then places through it into
+    /// `out` (cleared first; reuse one buffer across calls to keep the hot
+    /// loop allocation-free). `views` must be the one view list of
+    /// `generation`, the cluster's canonical views; a filtered list is
+    /// placed by calling [`PlacementPolicy::rebuild`] and
+    /// [`PlacementPolicy::place_via`] on a cache of its own.
     #[allow(clippy::too_many_arguments)]
     fn place_cached_into(
         &self,
@@ -158,15 +150,16 @@ pub trait PlacementPolicy: std::fmt::Debug + Send {
         views: &[VolumeView],
         out: &mut Placement,
     ) {
-        if !cache.is_fresh(generation, self.name()) {
+        if !cache.is_fresh(generation) {
             self.rebuild(cache, views);
-            cache.built = Some((generation, self.name()));
+            cache.built = Some(generation);
         }
         self.place_via(cache, key, size, replicas, views, out);
     }
 
     /// Allocating convenience wrapper around
     /// [`PlacementPolicy::place_cached_into`].
+    #[cfg(test)]
     fn place_cached(
         &self,
         cache: &mut PlacementCache,
@@ -184,7 +177,9 @@ pub trait PlacementPolicy: std::fmt::Debug + Send {
 
 /// Selects up to `replicas` entries from scored candidates, preferring
 /// distinct nodes first, then filling with remaining volumes if the cluster
-/// has fewer nodes than requested replicas.
+/// has fewer nodes than requested replicas. The reference for
+/// [`pick_distinct_nodes_indexed`].
+#[cfg(test)]
 fn pick_distinct_nodes(
     mut scored: Vec<(f64, VolumeView)>,
     replicas: usize,
@@ -225,8 +220,10 @@ fn pick_distinct_nodes(
 /// past them.
 const SORTED_PREFIX_PER_REPLICA: usize = 4;
 
-/// Index-based variant of [`pick_distinct_nodes`] used by the cached path,
-/// visiting candidates in the same order without sorting all of them.
+/// Picks distinct-node candidates from `scored`, preferring distinct nodes
+/// first, then filling with remaining volumes if the cluster has fewer
+/// nodes than requested replicas; visits candidates in full-sort order
+/// without sorting all of them.
 ///
 /// The walk usually ends within the first few candidates, so only a prefix
 /// of `SORTED_PREFIX_PER_REPLICA * replicas` is selected (`O(V)` expected)
@@ -346,10 +343,7 @@ impl DhtHashRing {
 }
 
 impl PlacementPolicy for DhtHashRing {
-    fn name(&self) -> &'static str {
-        "dht-hash-ring"
-    }
-
+    #[cfg(test)]
     fn place(&self, key: u64, size: Bytes, replicas: usize, views: &[VolumeView]) -> Placement {
         let mut ring = Vec::new();
         Self::build_ring(views, &mut ring);
@@ -411,10 +405,7 @@ impl Default for VnodeRing {
 }
 
 impl PlacementPolicy for VnodeRing {
-    fn name(&self) -> &'static str {
-        "vnode-ring"
-    }
-
+    #[cfg(test)]
     fn place(&self, key: u64, size: Bytes, replicas: usize, views: &[VolumeView]) -> Placement {
         let mut ring = Vec::new();
         self.build_ring(views, &mut ring);
@@ -483,10 +474,7 @@ impl VnodeRing {
 pub struct CrushStraw2;
 
 impl PlacementPolicy for CrushStraw2 {
-    fn name(&self) -> &'static str {
-        "crush-straw2"
-    }
-
+    #[cfg(test)]
     fn place(&self, key: u64, size: Bytes, replicas: usize, views: &[VolumeView]) -> Placement {
         let scored: Vec<(f64, VolumeView)> = views
             .iter()
@@ -535,10 +523,7 @@ impl PlacementPolicy for CrushStraw2 {
 pub struct FreeSpaceWeighted;
 
 impl PlacementPolicy for FreeSpaceWeighted {
-    fn name(&self) -> &'static str {
-        "free-space-weighted"
-    }
-
+    #[cfg(test)]
     fn place(&self, key: u64, size: Bytes, replicas: usize, views: &[VolumeView]) -> Placement {
         let scored: Vec<(f64, VolumeView)> =
             views.iter().map(|v| (Self::score(key, v), *v)).collect();
@@ -592,7 +577,6 @@ mod tests {
                 node: NodeId(i),
                 capacity: cap,
                 used: 0,
-                online: true,
             })
             .collect()
     }
@@ -611,11 +595,11 @@ mod tests {
         let vs = views(6, 1 << 30);
         for p in policies() {
             let placed = p.place(12345, 1024, 3, &vs);
-            assert_eq!(placed.len(), 3, "{} placed {:?}", p.name(), placed);
+            assert_eq!(placed.len(), 3, "{p:?} placed {placed:?}");
             let mut dedup = placed.clone();
             dedup.sort();
             dedup.dedup();
-            assert_eq!(dedup.len(), 3, "{} returned duplicates", p.name());
+            assert_eq!(dedup.len(), 3, "{p:?} returned duplicates");
         }
     }
 
@@ -623,12 +607,7 @@ mod tests {
     fn all_policies_are_deterministic() {
         let vs = views(6, 1 << 30);
         for p in policies() {
-            assert_eq!(
-                p.place(7, 10, 2, &vs),
-                p.place(7, 10, 2, &vs),
-                "{}",
-                p.name()
-            );
+            assert_eq!(p.place(7, 10, 2, &vs), p.place(7, 10, 2, &vs), "{p:?}");
         }
     }
 
@@ -639,14 +618,14 @@ mod tests {
         vs[1].used = 1000;
         for p in policies() {
             let placed = p.place(99, 500, 1, &vs);
-            assert_eq!(placed, vec![VolumeId(2)], "{}", p.name());
+            assert_eq!(placed, vec![VolumeId(2)], "{p:?}");
         }
     }
 
     #[test]
     fn empty_views_place_nothing() {
         for p in policies() {
-            assert!(p.place(1, 1, 3, &[]).is_empty(), "{}", p.name());
+            assert!(p.place(1, 1, 3, &[]).is_empty(), "{p:?}");
         }
     }
 
@@ -660,33 +639,25 @@ mod tests {
                 node: NodeId(0),
                 capacity: 1 << 30,
                 used: 0,
-                online: true,
             },
             VolumeView {
                 volume: VolumeId(1),
                 node: NodeId(0),
                 capacity: 1 << 30,
                 used: 0,
-                online: true,
             },
             VolumeView {
                 volume: VolumeId(2),
                 node: NodeId(1),
                 capacity: 1 << 30,
                 used: 0,
-                online: true,
             },
         ];
         for p in policies() {
             let placed = p.place(42, 1, 2, &vs);
-            assert_eq!(placed.len(), 2, "{}", p.name());
+            assert_eq!(placed.len(), 2, "{p:?}");
             let has_node1 = placed.contains(&VolumeId(2));
-            assert!(
-                has_node1,
-                "{} did not spread across nodes: {:?}",
-                p.name(),
-                placed
-            );
+            assert!(has_node1, "{p:?} did not spread across nodes: {placed:?}");
         }
     }
 
@@ -751,7 +722,7 @@ mod tests {
                     let replicas = 1 + (k % 4) as usize;
                     let legacy = p.place(key, size, replicas, &vs);
                     let cached = p.place_cached(&mut cache, generation, key, size, replicas, &vs);
-                    assert_eq!(legacy, cached, "{} diverged at key {key:#x}", p.name());
+                    assert_eq!(legacy, cached, "{p:?} diverged at key {key:#x}");
                     // Fill levels drift without a generation bump: caches
                     // must read `used` fresh, not from build time.
                     vs[(k % 6) as usize].used = (vs[(k % 6) as usize].used + size) % (1 << 29);
@@ -763,7 +734,6 @@ mod tests {
                     node: NodeId(n),
                     capacity: 1 << 30,
                     used: 0,
-                    online: true,
                 });
             }
         }
@@ -788,7 +758,6 @@ mod tests {
                         node: NodeId(i % nodes),
                         capacity,
                         used,
-                        online: true,
                     }
                 })
                 .collect()
@@ -806,28 +775,10 @@ mod tests {
                     let legacy = p.place(key, size, replicas, &vs);
                     let cached =
                         p.place_cached(&mut cache, generation as u64, key, size, replicas, &vs);
-                    assert_eq!(legacy, cached, "{} diverged at key {key:#x}", p.name());
+                    assert_eq!(legacy, cached, "{p:?} diverged at key {key:#x}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn cached_placement_survives_policy_switch_and_invalidate() {
-        // One cache shared across policies (as the simulator owns a single
-        // cache): switching the policy at the same generation must rebuild,
-        // and an explicit invalidate must too.
-        let vs = views(5, 1 << 30);
-        let mut cache = PlacementCache::new();
-        let dht = DhtHashRing;
-        let vnode = VnodeRing::default();
-        let a = dht.place_cached(&mut cache, 7, 11, 64, 2, &vs);
-        assert_eq!(a, dht.place(11, 64, 2, &vs));
-        let b = vnode.place_cached(&mut cache, 7, 11, 64, 2, &vs);
-        assert_eq!(b, vnode.place(11, 64, 2, &vs));
-        cache.invalidate();
-        let c = vnode.place_cached(&mut cache, 7, 11, 64, 2, &vs);
-        assert_eq!(b, c);
     }
 
     #[test]
@@ -842,7 +793,6 @@ mod tests {
             node: NodeId(vol),
             capacity: 1 << 20,
             used: 0,
-            online: true,
         };
         let scored_fwd = vec![(0.5, mk(0)), (f64::NAN, mk(1)), (0.9, mk(2))];
         let mut scored_rev = scored_fwd.clone();

@@ -99,15 +99,19 @@ pub struct DfsSim {
     /// Precomputed placement structures keyed off the cluster's topology
     /// generation (rings, weight tables) plus scoring scratch buffers.
     placement_cache: PlacementCache,
-    /// Reusable volume-view buffer for filtered placement and
-    /// re-replication.
+    /// Placement structures for the filtered copy in `views_buf`, rebuilt
+    /// by [`DfsSim::filter_views`] once per plan that hides a volume.
+    filtered_cache: PlacementCache,
+    /// Reusable volume-view buffer: the filtered copy that partitioned or
+    /// hotspot placements run on (see [`DfsSim::filter_views`]), and the
+    /// re-replication candidates.
     views_buf: Vec<VolumeView>,
     /// Reusable per-block placement output buffer.
     placed_buf: Placement,
     /// Reusable fragment-plan buffer (returned to the pool by the
     /// `plan_fragments` callers after they consume the plan).
     frags_buf: Vec<(VolumeId, Bytes)>,
-    /// Reusable speculative-fill undo list for the canonical planner:
+    /// Reusable speculative-fill undo list for canonical planning:
     /// `(view position, previous used)` — O(touched) per plan, reused so
     /// the hot path allocates nothing.
     undo_buf: Vec<(usize, Bytes)>,
@@ -172,6 +176,7 @@ impl DfsSim {
         let mut sim = DfsSim {
             placement: cfg.placement.build(),
             placement_cache: PlacementCache::new(),
+            filtered_cache: PlacementCache::new(),
             views_buf: Vec::new(),
             placed_buf: Vec::new(),
             frags_buf: Vec::new(),
@@ -703,19 +708,20 @@ impl DfsSim {
     /// Block-striping flavors split the data into `block_size` blocks and
     /// place each block's replicas independently; whole-file flavors
     /// (GlusterFS) place one fragment per replica. A `HotspotPlacement`
-    /// effect funnels a percentage of placements onto its victim node.
+    /// effect funnels a percentage of placements onto its victim node, and
+    /// a partition hides its storage nodes; either way the blocks are
+    /// placed on the filtered copy [`DfsSim::filter_views`] builds.
+    /// Otherwise they are placed on the cluster's canonical views cache
+    /// without copying it: O(blocks · log V) per op instead of O(V).
+    ///
+    /// Later blocks see the fill of earlier ones. The filtered copy is
+    /// bumped in place; canonical views get speculative
+    /// [`Cluster::bump_view_used`] bumps, rolled back before returning, and
+    /// the caller's `store` calls then apply the real mutations.
     fn plan_fragments(&mut self, key: u64, size: Bytes) -> SimResult<Vec<(VolumeId, Bytes)>> {
         if size == 0 {
             return Ok(Vec::new());
         }
-        // Decide up front whether this placement must run on a *filtered*
-        // copy of the volume views: partition faults hide nodes, and a
-        // hotspot-placement effect that wins its percentage roll funnels
-        // the whole file onto the victim. Neither applies on the common
-        // path, which then plans against the cluster's canonical views
-        // cache without copying — O(blocks · log V) per op instead of
-        // O(V) — with speculative fill bumps that are rolled back before
-        // the caller applies the real stores.
         let hotspot = self
             .bugs
             .active_effects()
@@ -727,43 +733,7 @@ impl DfsSim {
             Some((pct, victim)) if ((mix(key, 0x68_6f_74) % 100) as u8) < pct => Some(victim),
             _ => None,
         };
-        if hot_victim.is_none() && !self.faults.has_partitions() {
-            return self.plan_fragments_canonical(key, size);
-        }
-        let mut views = std::mem::take(&mut self.views_buf);
-        self.cluster.volume_views_into(&mut views);
-        // Whether a filter hid any volume. The cached placement path
-        // requires the canonical list (rings index into the canonical
-        // slice), so filtered views go through the uncached `place`.
-        let mut filtered = false;
-        if self.faults.has_partitions() {
-            // Partitioned storage nodes are unreachable for new placements.
-            let faults = &self.faults;
-            let before = views.len();
-            views.retain(|v| !faults.is_partitioned(v.node));
-            filtered = views.len() != before;
-        }
-        if let Some(victim) = hot_victim {
-            let mut victim_views: Vec<_> =
-                views.iter().copied().filter(|v| v.node == victim).collect();
-            if victim_views.is_empty() {
-                // The original victim left the cluster; the faulty
-                // placement path now funnels toward the currently most
-                // utilized node instead.
-                if let Some(hot) = Balancer::hottest_node(&self.cluster) {
-                    victim_views = views.iter().copied().filter(|v| v.node == hot).collect();
-                }
-            }
-            if !victim_views.is_empty() {
-                views = victim_views;
-                filtered = true;
-            }
-        }
-        if !filtered {
-            // Nothing was hidden, so `views` equals the canonical list.
-            self.views_buf = views;
-            return self.plan_fragments_canonical(key, size);
-        }
+        let filtered = self.filter_views(hot_victim);
         let block = self.effective_block(size);
         // Fragments stay block-granular so the balancer can move them
         // individually; consecutive blocks landing on the same volume are
@@ -771,14 +741,25 @@ impl DfsSim {
         const MAX_FRAGMENT: Bytes = 64 * MIB;
         let mut out = std::mem::take(&mut self.frags_buf);
         out.clear();
+        let mut placed = std::mem::take(&mut self.placed_buf);
         let mut remaining = size;
         let mut block_idx = 0u64;
         let mut failed = None;
+        // Speculative fill bumps of the canonical views to unwind: (view
+        // position, previous used). The buffer is a reusable field so the
+        // hot path allocates nothing; its length is the number of
+        // *touched* views, never O(V).
+        let mut undo = std::mem::take(&mut self.undo_buf);
+        undo.clear();
         while remaining > 0 {
             let b = block.min(remaining);
-            let placed = self
-                .placement
-                .place(mix(key, block_idx), b, self.cfg.replicas, &views);
+            self.place_block(
+                filtered,
+                mix(key, block_idx),
+                b,
+                self.cfg.replicas,
+                &mut placed,
+            );
             // Fewer replicas than requested is acceptable under space
             // pressure (reduced redundancy); zero placements is ENOSPC.
             if placed.is_empty() {
@@ -801,14 +782,24 @@ impl DfsSim {
                 }
                 // Keep the planning views' fill levels current so later
                 // blocks avoid volumes this plan already filled.
-                if let Some(p) = views.iter().position(|v| v.volume == vol) {
-                    views[p].used = views[p].used.saturating_add(b);
+                if filtered {
+                    if let Some(v) = self.views_buf.iter_mut().find(|v| v.volume == vol) {
+                        v.used = v.used.saturating_add(b);
+                    }
+                } else if let Some(pos) = self.cluster.view_pos(vol) {
+                    undo.push((pos, self.cluster.bump_view_used(pos, b)));
                 }
             }
             remaining -= b;
             block_idx += 1;
         }
-        self.views_buf = views;
+        // Unwind the speculative bumps in reverse so repeated bumps of the
+        // same view settle back to the original fill level exactly.
+        for (pos, old) in undo.drain(..).rev() {
+            self.cluster.set_view_used(pos, old);
+        }
+        self.undo_buf = undo;
+        self.placed_buf = placed;
         match failed {
             Some(e) => {
                 self.frags_buf = out;
@@ -834,84 +825,76 @@ impl DfsSim {
         }
     }
 
-    /// The common-case planner: no partition filtering, no hotspot reroute,
-    /// placement caching on. Plans directly against the cluster's canonical
-    /// views cache (no per-op O(V) copy); intra-plan fill awareness comes
-    /// from speculative `bump_view_used` bumps recorded in an undo list and
-    /// rolled back before returning — the caller's `store` calls then apply
-    /// the real mutations, which re-sync the cache in place.
-    fn plan_fragments_canonical(
+    /// Builds the filtered copy of the volume views into `views_buf` and
+    /// rebuilds `filtered_cache` for it, returning whether any volume was
+    /// hidden; when none was, placements go to the canonical views instead.
+    /// Partitioned storage nodes are unreachable for new placements, and a
+    /// `hot_victim` narrows the list to its own volumes, or to the most
+    /// utilized node's once the victim left the cluster.
+    fn filter_views(&mut self, hot_victim: Option<NodeId>) -> bool {
+        if hot_victim.is_none() && !self.faults.has_partitions() {
+            return false;
+        }
+        let mut views = std::mem::take(&mut self.views_buf);
+        self.cluster.volume_views_into(&mut views);
+        let mut filtered = false;
+        if self.faults.has_partitions() {
+            let faults = &self.faults;
+            let before = views.len();
+            views.retain(|v| !faults.is_partitioned(v.node));
+            filtered = views.len() != before;
+        }
+        if let Some(victim) = hot_victim {
+            // Once the original victim left the cluster, the faulty
+            // placement path funnels toward the currently most utilized
+            // node instead.
+            let target = if views.iter().any(|v| v.node == victim) {
+                Some(victim)
+            } else {
+                Balancer::hottest_node(&self.cluster)
+            };
+            if let Some(node) = target.filter(|&n| views.iter().any(|v| v.node == n)) {
+                views.retain(|v| v.node == node);
+                filtered = true;
+            }
+        }
+        if filtered {
+            self.placement.rebuild(&mut self.filtered_cache, &views);
+        }
+        self.views_buf = views;
+        filtered
+    }
+
+    /// Places one block into `out`: on the filtered copy when `filtered`
+    /// (see [`DfsSim::filter_views`]), else on the canonical views.
+    fn place_block(
         &mut self,
+        filtered: bool,
         key: u64,
         size: Bytes,
-    ) -> SimResult<Vec<(VolumeId, Bytes)>> {
-        let block = self.effective_block(size);
-        const MAX_FRAGMENT: Bytes = 64 * MIB;
-        let mut out = std::mem::take(&mut self.frags_buf);
-        out.clear();
-        let mut placed = std::mem::take(&mut self.placed_buf);
-        let mut remaining = size;
-        let mut block_idx = 0u64;
-        let mut failed = None;
-        let generation = self.cluster.generation();
-        // Speculative fill bumps to unwind: (view position, previous used).
-        // The buffer is a reusable field so the hot path allocates nothing;
-        // its length is the number of *touched* views, never O(V).
-        let mut undo = std::mem::take(&mut self.undo_buf);
-        undo.clear();
-        while remaining > 0 {
-            let b = block.min(remaining);
+        replicas: usize,
+        out: &mut Placement,
+    ) {
+        if filtered {
+            self.placement.place_via(
+                &mut self.filtered_cache,
+                key,
+                size,
+                replicas,
+                &self.views_buf,
+                out,
+            );
+        } else {
+            let generation = self.cluster.generation();
             self.placement.place_cached_into(
                 &mut self.placement_cache,
                 generation,
-                mix(key, block_idx),
-                b,
-                self.cfg.replicas,
+                key,
+                size,
+                replicas,
                 self.cluster.canonical_views(),
-                &mut placed,
+                out,
             );
-            // Fewer replicas than requested is acceptable under space
-            // pressure (reduced redundancy); zero placements is ENOSPC.
-            if placed.is_empty() {
-                failed = Some(SimError::OutOfSpace {
-                    requested: b,
-                    free: self.cluster.total_free(),
-                });
-                break;
-            }
-            for &vol in &placed {
-                let cap = MAX_FRAGMENT.max(block);
-                match out
-                    .iter_mut()
-                    .rev()
-                    .take(self.cfg.replicas)
-                    .find(|(v, bytes)| *v == vol && bytes.saturating_add(b) <= cap)
-                {
-                    Some((_, bytes)) => *bytes += b,
-                    None => out.push((vol, b)),
-                }
-                // Keep the planning views' fill levels current so later
-                // blocks avoid volumes this plan already filled.
-                if let Some(pos) = self.cluster.view_pos(vol) {
-                    undo.push((pos, self.cluster.bump_view_used(pos, b)));
-                }
-            }
-            remaining -= b;
-            block_idx += 1;
-        }
-        // Unwind the speculative bumps in reverse so repeated bumps of the
-        // same view settle back to the original fill level exactly.
-        for (pos, old) in undo.drain(..).rev() {
-            self.cluster.set_view_used(pos, old);
-        }
-        self.undo_buf = undo;
-        self.placed_buf = placed;
-        match failed {
-            Some(e) => {
-                self.frags_buf = out;
-                Err(e)
-            }
-            None => Ok(out),
         }
     }
 
@@ -972,36 +955,12 @@ impl DfsSim {
         Ok(ReqOutcome::default())
     }
 
-    /// Single-replica hash-location lookup (Gluster linkfile maintenance):
-    /// through the placement cache on the canonical views, or uncached on
-    /// the views a partition leaves reachable.
+    /// Single-replica hash-location lookup (Gluster linkfile maintenance)
+    /// on the views a partition leaves reachable.
     fn hash_location(&mut self, key: u64) -> Option<VolumeId> {
-        if self.faults.has_partitions() {
-            self.cluster.volume_views_into(&mut self.views_buf);
-            let faults = &self.faults;
-            let before = self.views_buf.len();
-            self.views_buf.retain(|v| !faults.is_partitioned(v.node));
-            if self.views_buf.len() != before {
-                return self
-                    .placement
-                    .place(key, 0, 1, &self.views_buf)
-                    .first()
-                    .copied();
-            }
-        }
-        // No storage node is hidden: look up against the cluster's
-        // canonical views cache directly, no per-op copy.
-        let generation = self.cluster.generation();
         let mut placed = std::mem::take(&mut self.placed_buf);
-        self.placement.place_cached_into(
-            &mut self.placement_cache,
-            generation,
-            key,
-            0,
-            1,
-            self.cluster.canonical_views(),
-            &mut placed,
-        );
+        let filtered = self.filter_views(None);
+        self.place_block(filtered, key, 0, 1, &mut placed);
         let loc = placed.first().copied();
         self.placed_buf = placed;
         loc
@@ -2187,6 +2146,148 @@ mod tests {
         assert!(s.stats().migrations > 0);
     }
 
+    /// The uncached reference for one filtered plan: `place` block by block
+    /// on `views`, bumping the copy's fill after each block. Returns the
+    /// bytes planned per volume, or `None` when a block finds no room.
+    fn reference_plan(
+        s: &DfsSim,
+        views: &mut [VolumeView],
+        key: u64,
+        size: Bytes,
+    ) -> Option<BTreeMap<VolumeId, Bytes>> {
+        let block = s.effective_block(size);
+        let mut planned = BTreeMap::new();
+        let (mut remaining, mut block_idx) = (size, 0);
+        while remaining > 0 {
+            let b = block.min(remaining);
+            let placed = s
+                .placement
+                .place(mix(key, block_idx), b, s.cfg.replicas, views);
+            if placed.is_empty() {
+                return None;
+            }
+            for vol in placed {
+                *planned.entry(vol).or_insert(0) += b;
+                views.iter_mut().find(|v| v.volume == vol).unwrap().used += b;
+            }
+            remaining -= b;
+            block_idx += 1;
+        }
+        Some(planned)
+    }
+
+    #[test]
+    fn filtered_plans_match_the_uncached_placer() {
+        use crate::bugs::{FailureKind, Gate, Trigger};
+        let hotspot = |platform| BugSpec {
+            id: "HOT-1",
+            platform,
+            kind: FailureKind::ImbalancedStorage,
+            title: "test bug: funnels every placement after the first create",
+            trigger: Trigger::op_count(vec![OpClass::Create], 1, 1),
+            effect: Effect::HotspotPlacement { pct: 100 },
+            gate: Gate::None,
+            is_new: true,
+        };
+        for flavor in Flavor::all() {
+            for partition in [true, false] {
+                // Small volumes, so the requests below fill what the filter
+                // leaves visible, and no balancer round (no request changes
+                // membership), so new replicas stay where they were placed.
+                let mut cfg = flavor.config();
+                cfg.base_fill = 0.0;
+                cfg.volume_capacity = 256 * MIB;
+                cfg.balancer = BalancerStyle::OnMembership;
+                let (bugs, faults) = if partition {
+                    let hide = FaultKind::PartitionStorage { index: 0 };
+                    (BugSet::None, vec![fault_at(0, hide)])
+                } else {
+                    (BugSet::Custom(vec![hotspot(flavor)]), Vec::new())
+                };
+                let mut s = DfsSim::with_config(cfg, bugs);
+                // Uneven capacities give the CRUSH weight table a view
+                // order to get wrong.
+                for volume in s.cluster.volume_views().iter().map(|v| v.volume).step_by(3) {
+                    let delta = 16 * MIB;
+                    s.execute(&DfsRequest::ReduceVolume { volume, delta })
+                        .unwrap();
+                }
+                s.set_fault_plan(FaultPlan::new(faults));
+                // Placed on the canonical views, which warms the canonical
+                // cache; the partition or the hotspot bug fires after it.
+                s.execute(&DfsRequest::Create {
+                    path: "/warm".into(),
+                    size: MIB,
+                })
+                .unwrap();
+                let victim = s.bugs.active_effects().find_map(|(_, v)| v);
+                assert_eq!(victim.is_none(), partition, "{flavor:?}");
+                let (mut placed, mut refused, mut multi_block) = (0, 0, 0);
+                for round in 0..10u64 {
+                    let path = format!("/f{round}");
+                    let size = [1, 9, 40, 100, 3, 64][round as usize % 6] * MIB;
+                    let delta = [130, 150, 200][round as usize % 3] * MIB;
+                    // A create, then an append that grows the file past the
+                    // GlusterFS shard threshold, so it is placed block by
+                    // block on every flavor.
+                    for append in [false, true] {
+                        let (req, key, bytes) = if append {
+                            let req = DfsRequest::Append {
+                                path: path.clone(),
+                                delta,
+                            };
+                            (req, mix(hash_str(&path), size), delta)
+                        } else {
+                            let req = DfsRequest::Create {
+                                path: path.clone(),
+                                size,
+                            };
+                            (req, hash_str(&path), size)
+                        };
+                        let replicas = |s: &DfsSim| {
+                            let fid = s.ns.open(&path).ok()?.0;
+                            Some(s.cluster.files().get(&fid)?.replicas.clone())
+                        };
+                        let before = match (append, replicas(&s)) {
+                            (false, _) => 0,
+                            (true, Some(r)) => r.len(),
+                            // The create was refused; nothing to append to.
+                            (true, None) => continue,
+                        };
+                        let mut views = s.cluster.volume_views();
+                        let all = views.len();
+                        views.retain(|v| !s.faults.is_partitioned(v.node));
+                        views.retain(|v| victim.is_none_or(|n| v.node == n));
+                        assert!(views.len() < all, "{flavor:?}: no volume hidden");
+                        let expected = reference_plan(&s, &mut views, key, bytes);
+                        multi_block += u64::from(s.effective_block(bytes) < bytes);
+                        let result = s.execute(&req);
+                        let mut added = BTreeMap::new();
+                        for r in replicas(&s).unwrap_or_default().iter().skip(before) {
+                            *added.entry(r.volume).or_insert(0) += r.bytes;
+                        }
+                        // A refused request must fail for space and store
+                        // nothing.
+                        let got = match result {
+                            Ok(_) => Some(added),
+                            Err(SimError::OutOfSpace { .. }) if added.is_empty() => None,
+                            Err(e) => panic!("{flavor:?} {req:?}: {e:?}, added {added:?}"),
+                        };
+                        assert_eq!(got, expected, "{flavor:?} {req:?}");
+                        placed += u64::from(got.is_some());
+                        refused += u64::from(got.is_none());
+                    }
+                }
+                assert!(
+                    placed > 0 && refused > 0,
+                    "{flavor:?}: {placed} placed, {refused} refused"
+                );
+                assert!(multi_block > 0, "{flavor:?}: no multi-block plan");
+                assert_eq!(s.stats().migrations, 0, "{flavor:?}");
+            }
+        }
+    }
+
     /// A broad fingerprint of observable simulator state; two sims with
     /// equal fingerprints are indistinguishable to the fuzzing harness.
     fn fingerprint(s: &DfsSim) -> String {
@@ -2471,7 +2572,7 @@ mod tests {
         s.marks.truncate(1);
         s.ns.clone_from(&deployed.ns);
         s.cluster.clone_from(&deployed.cluster);
-        s.placement_cache.invalidate();
+        s.placement_cache = PlacementCache::new();
         s.balancer = Balancer::new(s.cfg.balance_threshold);
         s.bugs.rearm();
         s.hash_cache.clear();
@@ -2507,7 +2608,7 @@ mod tests {
         s.marks.truncate(1);
         s.ns.clone_from(&deployed.ns);
         s.cluster.clone_from(&deployed.cluster);
-        s.placement_cache.invalidate();
+        s.placement_cache = PlacementCache::new();
         s.balancer = Balancer::new(s.cfg.balance_threshold);
         s.bugs.rearm();
         s.hash_cache.clear();

@@ -65,24 +65,9 @@ impl SimTime {
         SimTime(secs * 1_000)
     }
 
-    /// Constructs a time from whole simulated minutes.
-    pub fn from_mins(mins: u64) -> Self {
-        SimTime(mins * 60_000)
-    }
-
-    /// Constructs a time from whole simulated hours.
-    pub fn from_hours(hours: u64) -> Self {
-        SimTime(hours * 3_600_000)
-    }
-
     /// Milliseconds since simulator start.
     pub fn as_millis(self) -> u64 {
         self.0
-    }
-
-    /// Whole simulated seconds since simulator start.
-    pub fn as_secs(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// Simulated minutes since start, as a float (used by reports).
@@ -140,8 +125,6 @@ mod tests {
     #[test]
     fn sim_time_constructors_agree() {
         assert_eq!(SimTime::from_secs(1).as_millis(), 1_000);
-        assert_eq!(SimTime::from_mins(2).as_millis(), 120_000);
-        assert_eq!(SimTime::from_hours(24).as_millis(), 86_400_000);
     }
 
     #[test]

@@ -67,5 +67,5 @@ pub use seedpool::SeedPool;
 pub use spec::{Operand, OperandKind, Operation, Operator, TestCase};
 pub use strategies::{
     by_name, Alternate, Concurrent, ExecFeedback, FixConf, FixReq, GenCtx, Strategy, ThemisMinus,
-    ThemisStrategy, COMPARISON_STRATEGIES,
+    ThemisStrategy,
 };

@@ -61,10 +61,13 @@ run env CARGO_TARGET_DIR=.bench_build cargo test --release --offline --locked \
 # against the atomic reference migrate with overflow checks off as well.
 # The state audit is the crash explorer's release-mode oracle, so its
 # dense recomputation is checked against the BTreeMap reference audit
-# here too.
+# here too. The cached placer is the only placement path, for canonical
+# and filtered view lists alike, so it is checked against the uncached
+# reference placers here as well.
 run cargo test --release --offline -p simdfs -q -- release_oracle runtime_audit clone_reference \
     coverage_matches_btreeset_reference tracker_equals_recomputation_after_random_walk \
-    microsteps_match_atomic_migrate audit_matches_btreemap_reference
+    microsteps_match_atomic_migrate audit_matches_btreemap_reference \
+    cached_placement_matches_uncached_reference filtered_plans_match_the_uncached_placer
 
 if [[ "${1:-}" != "--no-bench" ]]; then
     # Capture the committed baseline throughput BEFORE the bench run

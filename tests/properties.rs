@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simdfs::{BugSet, DfsRequest, DfsSim, Flavor, MIB};
-use themis::{gen, mutate, InputModel, NodeInventory, TestCase};
+use themis::{gen, mutate, InputModel, NodeInventory};
 
 fn model() -> InputModel {
     let mut m = InputModel::new();
@@ -46,17 +46,6 @@ proptest! {
         prop_assert!(req.ops.iter().all(|o| o.opt.is_file_op()));
         let conf = gen::config_only_case(&mut m, &mut rng, 8);
         prop_assert!(conf.ops.iter().all(|o| o.opt.is_config_op()));
-    }
-
-    /// JSON round-trips preserve test cases exactly.
-    #[test]
-    fn testcase_json_roundtrip(seed in any::<u64>()) {
-        let mut m = model();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let case = gen::random_case(&mut m, &mut rng, 8);
-        let json = case.to_json();
-        let back = TestCase::from_json(&json).unwrap();
-        prop_assert_eq!(case, back);
     }
 }
 
